@@ -9,6 +9,7 @@ property), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,8 +18,9 @@ from .hemispace import (
     AffineHemispace,
     NotClosedError,
     SpecError,
+    affine_complement,
     complement_spec,
-    conical_member_trace,
+    member_trace,
     rank_one_check,
     to_halfspace,
     to_halfspace_affine,
@@ -32,7 +34,7 @@ from .sectors import (
     sector_pr,
     semispace_contains,
 )
-from .semiring import Model, TScalar, format_scalar_compact, parse_scalar
+from .semiring import Model, format_scalar_compact, parse_scalar
 from .specio import (
     SpecFormatError,
     canonical_text,
@@ -64,6 +66,12 @@ def _base_spec(obj):
     return obj.base if isinstance(obj, AffineHemispace) else obj
 
 
+def _other_side(obj):
+    if isinstance(obj, AffineHemispace):
+        return affine_complement(obj)
+    return complement_spec(obj)
+
+
 def cmd_check(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
@@ -81,11 +89,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    obj = _load(args.path)
-    if isinstance(obj, AffineHemispace):
-        out = canonical_text(AffineHemispace(obj.base, not obj.contains_zero))
-    else:
-        out = canonical_text(complement_spec(obj))
+    out = canonical_text(_other_side(_load(args.path)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -96,34 +100,20 @@ def cmd_complement(args) -> int:
 
 def cmd_member(args) -> int:
     obj = _load(args.path)
-    base = _base_spec(obj)
-    try:
-        x = parse_vector(args.vector, base.model)
+    side = _other_side(obj) if args.complement else obj
+    try:  # a malformed vector or one of the wrong length
+        x = parse_vector(args.vector, _base_spec(obj).model)
+        trace = member_trace(side, x)
     except ValueError as exc:
         raise CliError(str(exc))
-    if isinstance(obj, AffineHemispace):
-        if x.dim != obj.ambient_dim:
-            raise CliError(f"vector has {x.dim} coordinates, expected {obj.ambient_dim}")
-        lifted = x.append(TScalar.unit(base.model))
-        trace = conical_member_trace(base, lifted)
-        inside = trace.member == obj.contains_zero
-        if args.complement:
-            inside = not inside
-    else:
-        if x.dim != base.n:
-            raise CliError(f"vector has {x.dim} coordinates, expected {base.n}")
-        point = x
-        spec = complement_spec(base) if args.complement else base
-        trace = conical_member_trace(spec, point)
-        inside = trace.member
-    print("IN" if inside else "OUT")
+    print("IN" if trace.member else "OUT")
     if args.explain:
         print(f"  reason: {trace.reason}")
         if trace.class_index is not None:
             print(f"  class: {trace.class_index}")
         if trace.reduced is not None:
             print(f"  reduced point: {trace.reduced}")
-    return OK if inside else SEMANTIC_FAIL
+    return OK if trace.member else SEMANTIC_FAIL
 
 
 def cmd_thin(args) -> int:
@@ -249,7 +239,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             raise CliError(f"bad grid: {exc}")
     else:
-        grid = GridSpec(base.model, n, grid_for_spec(base, n).values)
+        grid = grid_for_spec(base, n)
     try:
         verdicts = run_properties(obj, grid, args.samples, args.seed, args.property)
     except ValueError as exc:
@@ -264,6 +254,7 @@ def cmd_verify(args) -> int:
     return OK if not failed else SEMANTIC_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropconv",
@@ -271,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--model", default="max-times",
                         help="scalar model for commands without a spec file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a spec file (structure + rank-one)")

@@ -11,7 +11,8 @@ membership, complements and halfspace conversion.
 Affine hemispaces are handled through the same machinery one dimension
 up: the base spec lives over n+1 coordinates with the extra index on
 the I side, and a flag selects which member of the complementary pair
-this object denotes.
+this object denotes.  Each side is the unit section of its own cone
+(the base or its complement), so one membership path serves both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 from .semiring import (
     InternalInconsistencyError,
@@ -241,10 +242,10 @@ class HemispaceSpec:
 
     Instances from `build` are validated (structure, rank-one) and carry
     their thin structure; `raw` instances exist only as input for
-    `rank_one_check`.
+    `rank_one_check`.  `_complement` memoizes `complement_spec`.
     """
 
-    __slots__ = ("model", "n", "I", "J", "sigma", "_validated", "_thin")
+    __slots__ = ("model", "n", "I", "J", "sigma", "_validated", "_thin", "_complement")
 
     def __init__(self, model, n, I, J, sigma, _validated, _thin):
         self.model = model
@@ -254,6 +255,7 @@ class HemispaceSpec:
         self.sigma = sigma
         self._validated = _validated
         self._thin = _thin
+        self._complement = None
 
     @classmethod
     def raw(
@@ -376,12 +378,6 @@ class ThinStructure:
     classes: tuple[ThinClass, ...]
     beta: dict
     gamma: dict
-
-    def class_of(self, i: int) -> int:
-        for cls in self.classes:
-            if i in cls.I_elems:
-                return cls.index
-        raise KeyError(i)
 
 
 def thin_structure(spec: HemispaceSpec) -> ThinStructure:
@@ -572,37 +568,28 @@ def complement_spec(spec: HemispaceSpec) -> HemispaceSpec:
     Roles of I and J swap; each boundary threshold inverts and its
     strictness flips (with inv exchanging zero and Top), because the
     combination e_j + mu*e_i lies in the complement exactly when
-    inv(mu) fails to be a generator scaling of the original.
+    inv(mu) fails to be a generator scaling of the original.  It is built
+    once and kept on the spec; the complement does not link back.
     """
     if not spec.validated:
         raise SpecError("complement requires a validated spec")
-    sigma = {}
-    for (i, j), b in spec.sigma.items():
-        sigma[(j, i)] = BoundarySet.make(t_inv(b.threshold), not b.closed)
-    try:
-        return HemispaceSpec.build(spec.model, spec.n, spec.J, spec.I, sigma)
-    except RankOneError as exc:  # the complement of a valid spec is valid
-        raise InternalInconsistencyError(
-            f"complement failed rank-one validation: {exc}"
-        ) from exc
-
-
-def complement_member(spec: HemispaceSpec, x: TVec) -> bool:
-    """Membership in the complement side, cross-checked both ways."""
-    structural = conical_member(complement_spec(spec), x)
-    negated = x.is_zero() or not conical_member(spec, x)
-    if structural != negated:
-        raise InternalInconsistencyError(
-            f"complement disagreement at {x}: structural={structural}, negated={negated}"
-        )
-    return structural
+    if spec._complement is None:
+        sigma = {}
+        for (i, j), b in spec.sigma.items():
+            sigma[(j, i)] = BoundarySet.make(t_inv(b.threshold), not b.closed)
+        try:
+            spec._complement = HemispaceSpec.build(spec.model, spec.n, spec.J, spec.I, sigma)
+        except RankOneError as exc:  # the complement of a valid spec is valid
+            raise InternalInconsistencyError(
+                f"complement failed rank-one validation: {exc}"
+            ) from exc
+    return spec._complement
 
 
 def is_closed(spec: HemispaceSpec) -> bool:
-    """True when every boundary set is closed with a finite-or-zero threshold."""
-    return all(
-        b.closed and not b.threshold.is_top for b in spec.sigma.values()
-    )
+    """True when every boundary set is closed with a finite-or-zero threshold
+    (`BoundarySet.make` never leaves a Top threshold closed)."""
+    return all(b.closed for b in spec.sigma.values())
 
 
 # ----------------------------------------------------------------------
@@ -658,13 +645,12 @@ class NotClosedError(ValueError):
 
 
 def _require_closed(spec: HemispaceSpec, side: str) -> None:
-    for (i, j) in sorted(spec.sigma):
-        b = spec.entry(i, j)
-        if b.threshold.is_top or not b.closed:
-            raise NotClosedError(
-                f"open or degenerate boundary present in the {side}: "
-                f"entry (i={i}, j={j}) is {b.describe()}"
-            )
+    if not is_closed(spec):
+        i, j = min(k for k, b in spec.sigma.items() if not b.closed)
+        raise NotClosedError(
+            f"open or degenerate boundary present in the {side}: "
+            f"entry (i={i}, j={j}) is {spec.entry(i, j).describe()}"
+        )
 
 
 def to_halfspace(spec: HemispaceSpec) -> HalfspaceForm:
@@ -771,7 +757,8 @@ class AffineHemispace:
 
     The base spec lives over n+1 coordinates with the extra index in I;
     its section at last coordinate 1 is the side containing zero, and
-    `contains_zero` records which side this object denotes.
+    `contains_zero` records which side this object denotes.  `cone` is
+    the cone whose unit section is this side.
     """
 
     base: HemispaceSpec
@@ -787,14 +774,30 @@ class AffineHemispace:
     def ambient_dim(self) -> int:
         return self.base.n - 1
 
+    @property
+    def cone(self) -> HemispaceSpec:
+        return self.base if self.contains_zero else complement_spec(self.base)
+
+
+SpecLike = Union[HemispaceSpec, AffineHemispace]
+
+
+def member_trace(obj: SpecLike, x: TVec) -> MembershipTrace:
+    """Membership of x in a conical spec or in one side of an affine pair.
+
+    An affine side is decided at the lifted point (x, 1) in the side's
+    own cone, so both sides of a pair take the same structural route.
+    """
+    if isinstance(obj, HemispaceSpec):
+        return conical_member_trace(obj, x)
+    if x.dim != obj.ambient_dim:
+        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {obj.ambient_dim}")
+    return conical_member_trace(obj.cone, x.append(TScalar.unit(obj.base.model)))
+
 
 def affine_member(h: AffineHemispace, x: TVec) -> bool:
-    """Membership via the lifted point (x, 1) in the base cone."""
-    if x.dim != h.ambient_dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {h.ambient_dim}")
-    lifted = x.append(TScalar.unit(h.base.model))
-    inside = conical_member(h.base, lifted)
-    return inside if h.contains_zero else not inside
+    """Membership via the lifted point (x, 1) in the side's cone."""
+    return member_trace(h, x).member
 
 
 def affine_complement(h: AffineHemispace) -> AffineHemispace:
@@ -808,7 +811,7 @@ def to_halfspace_affine(h: AffineHemispace) -> HalfspaceForm:
     the n+1 row contributes the right-hand offset and, on the side not
     containing zero, the n+1 column contributes the left-hand offset.
     """
-    spec = h.base if h.contains_zero else complement_spec(h.base)
+    spec = h.cone
     side = "spec" if h.contains_zero else "complement side"
     _require_closed(spec, side)
     hs = to_halfspace(spec)

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .hemispace import AffineHemispace, BoundarySet, HemispaceSpec, SpecError
+from .hemispace import AffineHemispace, BoundarySet, SpecError, SpecLike
 from .semiring import Model, TScalar, t_inv, t_mul
 from .tlinalg import TVec
-
-SpecLike = Union[HemispaceSpec, AffineHemispace]
 
 REGION_FILL = "#7fb2e5"
 COMPLEMENT_FILL = "#f6e8c9"

@@ -25,12 +25,9 @@ back and writing again is byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Union
 
-from .hemispace import AffineHemispace, BoundarySet, HemispaceSpec, SpecError
+from .hemispace import AffineHemispace, BoundarySet, HemispaceSpec, SpecError, SpecLike
 from .semiring import Model, format_scalar, parse_scalar
-
-SpecLike = Union[HemispaceSpec, AffineHemispace]
 
 
 class SpecFormatError(ValueError):

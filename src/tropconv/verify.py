@@ -34,6 +34,7 @@ from .hemispace import (
     conical_member,
     downset_product,
     generator_pair,
+    member_trace,
     overlap_finite_witness,
     rank_one_check,
     split_down_product,
@@ -438,7 +439,7 @@ def sector_in_affine_side(h: AffineHemispace, sid: SectorId) -> bool:
     and that cone holds exactly the lifted hull points and rays of every
     sector it swallows.
     """
-    cone = h.base if h.contains_zero else complement_spec(h.base)
+    cone = h.cone
     one = TScalar.unit(h.base.model)
     bot = TScalar.bottom(h.base.model)
     d = sector_pr(sid)
@@ -455,20 +456,12 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     """Every member point exposes a fully-contained (quasi)sector, and the
     sector types seen on the two sides are disjoint and respect I / J."""
     affine = isinstance(obj, AffineHemispace)
-    if affine:
-        sides = (obj, affine_complement(obj))
-        n = obj.ambient_dim
-        # The zero-containing side may use the extra sector type, so its
-        # allowed types are base.I (which holds n+1 by construction).
-        allowed = (
-            set(obj.base.I if obj.contains_zero else obj.base.J),
-            set(obj.base.J if obj.contains_zero else obj.base.I),
-        )
-    else:
-        comp = complement_spec(obj)
-        sides = (obj, comp)
-        n = obj.n
-        allowed = (set(obj.I), set(obj.J))
+    sides = _sides(obj)
+    n = obj.ambient_dim if affine else obj.n
+    # A side may use the sector types in the I set of its cone; for the
+    # zero-containing side of an affine pair that set holds the extra
+    # type n+1.
+    allowed = tuple(set(side.cone.I if affine else side.I) for side in sides)
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match {n}")
     found: tuple[set, set] = (set(), set())
@@ -476,7 +469,7 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     for x in grid.points():
         if x.is_zero() and not affine:
             continue
-        which = 0 if _side_member(sides[0], x, affine) else 1
+        which = 0 if member_trace(sides[0], x).member else 1
         side = sides[which]
         types = sorted(support(x))
         if affine:
@@ -486,13 +479,12 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
             cases += 1
             if affine:
                 sid = SectorId.affine(x) if i == n + 1 else SectorId.of_support(x, i)
-                if sector_in_affine_side(side, sid):
-                    hit = i
-                    break
+                contained = sector_in_affine_side(side, sid)
             else:
-                if quasisector_in_cone(side, SectorId.of_support(x, i)):
-                    hit = i
-                    break
+                contained = quasisector_in_cone(side, SectorId.of_support(x, i))
+            if contained:
+                hit = i
+                break
         if hit is None:
             return Verdict("sector-union", False, cases,
                            f"x={x}: no contained sector on its own side")
@@ -506,8 +498,11 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     return Verdict("sector-union", True, cases)
 
 
-def _side_member(side, x: TVec, affine: bool) -> bool:
-    return affine_member(side, x) if affine else conical_member(side, x)
+def _sides(obj) -> tuple:
+    """Both sides of the pair that obj belongs to, obj first."""
+    if isinstance(obj, AffineHemispace):
+        return obj, affine_complement(obj)
+    return obj, complement_spec(obj)
 
 
 def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
@@ -548,12 +543,6 @@ def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
 
 # ----------------------------------------------------------------------
 # Random instances (seeded, exact).
-
-
-def finite_pool(model: Model) -> list[TScalar]:
-    if model is Model.MAX_TIMES:
-        return [TScalar.finite(model, p) for p in ("1/4", "1/2", "1", "2", "4")]
-    return [TScalar.finite(model, p) for p in ("-2", "-1", "0", "1", "2")]
 
 
 def random_valid_spec(
@@ -616,7 +605,7 @@ def random_valid_spec(
         K_prev, J_prev = K, J_r
 
     # Second pass: nested strictness and gauge factors per class.
-    pool = finite_pool(model)
+    pool = closure_scalars(model)
     sigma: dict[tuple[int, int], BoundarySet] = {}
     for members, K, J_r, L in layout:
         order = J_r[:]
@@ -657,7 +646,7 @@ def random_violated_spec(
     half = n // 2
     I = list(range(1, half + 1))
     J = list(range(half + 1, n + 1))
-    pool = finite_pool(model)
+    pool = closure_scalars(model)
     while True:
         sigma = {
             (i, j): BoundarySet.make(rng.choice(pool), rng.random() < 0.8)
@@ -672,7 +661,7 @@ def random_violated_spec(
 
 def random_pr(rng: random.Random, model: Model, n: int) -> PRDecomposition:
     """A small random (P, R)-decomposition with a non-empty hull."""
-    pool = [TScalar.bottom(model)] + finite_pool(model)
+    pool = [TScalar.bottom(model)] + closure_scalars(model)
 
     def rand_vec() -> TVec:
         return TVec(model, tuple(rng.choice(pool) for _ in range(n)))
@@ -697,13 +686,9 @@ def run_properties(
     """Run the named property (or all of them) on a spec or affine pair."""
     affine = isinstance(obj, AffineHemispace)
     scalars = closure_scalars(grid.model)
-    if affine:
-        side1: MemberFn = lambda x: affine_member(obj, x)
-        side2: MemberFn = lambda x: affine_member(affine_complement(obj), x)
-    else:
-        comp = complement_spec(obj)
-        side1 = lambda x: conical_member(obj, x)
-        side2 = lambda x: conical_member(comp, x)
+    first, second = _sides(obj)
+    side1: MemberFn = lambda x: member_trace(first, x).member
+    side2: MemberFn = lambda x: member_trace(second, x).member
     catalogue = {
         "partition": lambda: (
             affine_partition_check(obj, grid) if affine else partition_check(obj, grid)

@@ -6,7 +6,14 @@ import pytest
 
 from conftest import MP, MT
 from tropconv.cli import main
-from tropconv.hemispace import AffineHemispace, affine_member, conical_member
+from tropconv.hemispace import (
+    AffineHemispace,
+    affine_complement,
+    affine_member,
+    complement_spec,
+    conical_member,
+    conical_member_trace,
+)
 from tropconv.render2d import RenderConfig, build_geometry, render_svg
 from tropconv.semiring import TScalar
 from tropconv.specio import (
@@ -16,7 +23,7 @@ from tropconv.specio import (
     parse_spec_text_raw,
 )
 from tropconv.tlinalg import TVec
-from tropconv.verify import random_valid_affine, random_valid_spec
+from tropconv.verify import make_grid, random_valid_affine, random_valid_spec
 
 WORKED = """{
   "model": "max-times", "n": 4, "I": [1, 2], "J": [3, 4],
@@ -155,6 +162,37 @@ def test_cli_member_affine(box_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("contains_zero", [True, False])
+@pytest.mark.parametrize("closed", [True, False])
+def test_cli_member_explain_follows_the_side(tmp_path, capsys, contains_zero, closed):
+    text = SECTOR_BOX.replace('"contains_zero": true', f'"contains_zero": {json.dumps(contains_zero)}')
+    if not closed:
+        text = text.replace('"closed": true', '"closed": false')
+    path = tmp_path / "box.json"
+    path.write_text(text)
+    h = parse_spec_text(text)
+    one = TScalar.unit(MT)
+    for complement in (False, True):
+        side = affine_complement(h) if complement else h
+        cone = h.base if side.contains_zero else complement_spec(h.base)
+        flag = ["--complement"] if complement else []
+        for x in make_grid(MT, 2).points():
+            code = main(["member", str(path), str(x), "--explain", *flag])
+            lines = capsys.readouterr().out.splitlines()
+            inside = affine_member(side, x)
+            assert (code, lines[0]) == ((0, "IN") if inside else (1, "OUT"))
+            reason = conical_member_trace(cone, x.append(one)).reason
+            assert lines[1] == f"  reason: {reason}", (contains_zero, complement, str(x))
+
+
+@pytest.mark.parametrize("complement", [[], ["--complement"]])
+def test_cli_member_rejects_a_wrong_length_vector(worked_file, box_file, capsys, complement):
+    for path, vector in ((worked_file, "[1,0]"), (box_file, "[1,1,1]")):
+        assert main(["member", path, vector, *complement]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: dimension mismatch" in captured.err
+
+
 def test_cli_complement_round_trip(worked_file, tmp_path, capsys):
     out1 = tmp_path / "comp.json"
     out2 = tmp_path / "comp2.json"
@@ -212,6 +250,22 @@ def test_cli_verify(worked_file, capsys):
     assert main(["verify", worked_file, "--samples", "40", "--property", "partition"]) == 0
     capsys.readouterr()
     assert main(["verify", worked_file, "--property", "bogus"]) == 2
+
+
+def test_cli_seed_belongs_to_verify(worked_file, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "5", "verify", worked_file])
+    assert exc.value.code == 2
+    seeds = []
+
+    def fake_run_properties(obj, grid, samples, seed, which):
+        seeds.append(seed)
+        return []
+
+    monkeypatch.setattr("tropconv.cli.run_properties", fake_run_properties)
+    assert main(["verify", worked_file, "--seed", "7"]) == 0
+    assert seeds == [7]
+    capsys.readouterr()
 
 
 def test_cli_render(box_file, tmp_path, capsys):

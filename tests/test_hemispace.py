@@ -16,7 +16,6 @@ from tropconv.hemispace import (
     affine_complement,
     affine_member,
     alpha_matrix,
-    complement_member,
     complement_spec,
     conical_member,
     down_up_overlap,
@@ -369,12 +368,20 @@ def test_complement_2d_example():
 
 
 def test_complement_membership_cross_checked(worked_spec):
+    comp = complement_spec(worked_spec)
     grid = grid_for_spec(worked_spec)
     rng = random.Random(13)
     pts = list(grid.points())
     for x in rng.sample(pts, 60):
-        m = complement_member(worked_spec, x)
+        m = conical_member(comp, x)
         assert m == (x.is_zero() or not conical_member(worked_spec, x))
+
+
+def test_complement_is_built_once_and_links_forward_only(worked_spec):
+    comp = complement_spec(worked_spec)
+    assert complement_spec(worked_spec) is comp
+    back = complement_spec(comp)
+    assert back == worked_spec and back is not worked_spec
 
 
 def test_generator_soundness_on_random_specs():
@@ -599,16 +606,21 @@ def test_affine_box_membership():
 
 
 def test_affine_pair_partitions_everything():
+    # The far side (avoiding zero) is decided structurally through the
+    # complement cone; it must equal the negation of the base cone at
+    # the lifted point.
     rng = random.Random(37)
     for model in (MT, MP):
+        one = TScalar.unit(model)
         for _ in range(10):
             h = random_valid_affine(rng, model, rng.choice([1, 2, 3]))
             comp = affine_complement(h)
+            far = comp if h.contains_zero else h
             grid = make_grid(model, h.ambient_dim,
                              (b.threshold for b in h.base.sigma.values()))
-            zero_sides = 0
             for x in grid.points():
                 assert affine_member(h, x) != affine_member(comp, x)
+                assert affine_member(far, x) == (not conical_member(h.base, x.append(one)))
             zero = TVec.zero(model, h.ambient_dim)
             assert affine_member(h, zero) == h.contains_zero
 

@@ -1,18 +1,25 @@
+import hashlib
 import random
+import re
 
 import pytest
 
 from conftest import MP, MT, bset, sc, vec, worked_example
 from tropconv.hemispace import (
+    AffineHemispace,
     HemispaceSpec,
+    affine_complement,
+    affine_member,
     complement_spec,
     conical_member,
     rank_one_check,
 )
 from tropconv.sectors import SectorId, sector_contains
+from tropconv.specio import canonical_text
 from tropconv.tlinalg import ConeGen, PRDecomposition, cone_member_fg
 from tropconv.verify import (
     GridSpec,
+    affine_partition_check,
     closure_check,
     closure_scalars,
     grid_for_spec,
@@ -21,6 +28,7 @@ from tropconv.verify import (
     pair_partition_check,
     partition_check,
     random_valid_affine,
+    random_pr,
     random_valid_spec,
     random_violated_spec,
     run_properties,
@@ -63,6 +71,41 @@ def test_partition_negative_control():
     )
     assert not bad.passed and bad.counterexample is not None
     assert partition_check(spec, grid).passed
+
+
+def _box(contains_zero: bool, closed_31: bool = True) -> AffineHemispace:
+    sigma = {(3, 1): bset("1", closed_31), (3, 2): bset("1", True)}
+    return AffineHemispace(HemispaceSpec.build(MT, 3, [3], [1, 2], sigma), contains_zero)
+
+
+def test_affine_partition_negative_control():
+    # Opening entry (3, 1) of a single-row box keeps it rank-one valid.
+    # Its far side, taken structurally, overlaps the honest closed box
+    # on the line x1 = 1, and the partition oracle must say where.
+    h, mutated = _box(True), _box(True, closed_31=False)
+    grid = make_grid(MT, 2)
+    assert affine_partition_check(h, grid).passed
+    side1 = lambda x: affine_member(h, x)
+    side2 = lambda x: affine_member(affine_complement(mutated), x)
+    bad = pair_partition_check(side1, side2, grid, zero_in_both=False)
+    assert not bad.passed
+    x = vec(re.match(r"x=(\[[^\]]*\])", bad.counterexample).group(1))
+    assert x.at(1) == sc("1")
+    assert side1(x) and side2(x)
+
+
+def test_sector_union_builds_the_far_cone_once(monkeypatch):
+    far = _box(False)
+    builds = []
+    build = HemispaceSpec.build.__func__
+
+    def counting_build(cls, *args):
+        builds.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(HemispaceSpec, "build", classmethod(counting_build))
+    assert sector_union_check(far, make_grid(MT, 2)).passed
+    assert len(builds) == 1
 
 
 def test_closure_positive_and_negative():
@@ -243,3 +286,23 @@ def test_random_generators_cover_models_and_shapes():
     from tropconv.hemispace import is_closed
 
     assert all(is_closed(s) for s in closed)
+
+
+def test_seeded_random_draws_are_unchanged():
+    # Digests of the draws before the scalar pools were merged into
+    # closure_scalars: the same seed must still give the same instances.
+    expected = {
+        1: "f44c8f029f688495989ab373396cd415129ee4d4c9acee7f5a22197e7f7810b7",
+        2: "050fc92c7de59668a76e27de8714be0a4831941fb68d09205218fb6770eee808",
+        3: "08e27c43a9fcc45eb795217abe6fcc11470624003a25a84c34377cc3cba7be80",
+    }
+    for seed, digest in expected.items():
+        rng = random.Random(seed)
+        parts = []
+        for model in (MT, MP):
+            parts.append(canonical_text(random_valid_spec(rng, model, 4)))
+            spec, v = random_violated_spec(rng, model)
+            parts.append(canonical_text(spec) + v.describe())
+            d = random_pr(rng, model, 3)
+            parts.append(str(sorted(map(str, d.P))) + str(sorted(map(str, d.R))))
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == digest, seed
