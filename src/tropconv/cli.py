@@ -38,7 +38,7 @@ from .semiring import Model, format_scalar_compact, parse_scalar
 from .specio import (
     SpecFormatError,
     canonical_text,
-    load_spec,
+    parse_spec_text,
     parse_spec_text_raw,
 )
 from .tlinalg import TVec, parse_vector
@@ -53,11 +53,17 @@ class CliError(Exception):
         self.code = code
 
 
-def _load(path: str):
+def _load(path: str, parse):
+    """Read a spec file and parse its text; file and format errors exit 2."""
     try:
-        return load_spec(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except (SpecFormatError, SpecError) as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -73,13 +79,7 @@ def _other_side(obj):
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            raw, _affine, _cz = parse_spec_text_raw(fh.read())
-    except FileNotFoundError:
-        raise CliError(f"no such file: {args.path}")
-    except (SpecFormatError, SpecError) as exc:
-        raise CliError(f"{args.path}: {exc}")
+    raw, _affine, _cz = _load(args.path, parse_spec_text_raw)
     violation = rank_one_check(raw)
     if violation is None:
         print("OK")
@@ -89,7 +89,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    out = canonical_text(_other_side(_load(args.path)))
+    out = canonical_text(_other_side(_load(args.path, parse_spec_text)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -99,7 +99,7 @@ def cmd_complement(args) -> int:
 
 
 def cmd_member(args) -> int:
-    obj = _load(args.path)
+    obj = _load(args.path, parse_spec_text)
     side = _other_side(obj) if args.complement else obj
     try:  # a malformed vector or one of the wrong length
         x = parse_vector(args.vector, _base_spec(obj).model)
@@ -117,7 +117,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_thin(args) -> int:
-    obj = _load(args.path)
+    obj = _load(args.path, parse_spec_text)
     spec = _base_spec(obj)
     ts = spec.thin
     for cls in ts.classes:
@@ -137,7 +137,7 @@ def cmd_thin(args) -> int:
 
 
 def cmd_halfspace(args) -> int:
-    obj = _load(args.path)
+    obj = _load(args.path, parse_spec_text)
     try:
         if isinstance(obj, AffineHemispace):
             form = to_halfspace_affine(obj)
@@ -151,7 +151,7 @@ def cmd_halfspace(args) -> int:
 
 
 def cmd_render2d(args) -> int:
-    obj = _load(args.path)
+    obj = _load(args.path, parse_spec_text)
     try:
         wx, wy = (Fraction(tok) for tok in args.window.split(","))
         config = RenderConfig(
@@ -224,7 +224,7 @@ def cmd_sectors(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = _load(args.path)
+    obj = _load(args.path, parse_spec_text)
     base = _base_spec(obj)
     n = obj.ambient_dim if isinstance(obj, AffineHemispace) else base.n
     if args.grid:

@@ -17,10 +17,8 @@ this object denotes.  Each side is the unit section of its own cone
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional, Union
 
 from .semiring import (
@@ -137,14 +135,6 @@ def down_up_overlap(d: BoundarySet, u: UpSet) -> bool:
     return d.threshold == u.threshold and d.closed and not u.strict
 
 
-def _half_step(model: Model) -> TScalar:
-    return TScalar.finite(model, -1 if model is Model.MAX_PLUS else Fraction(1, 2))
-
-
-def _double_step(model: Model) -> TScalar:
-    return TScalar.finite(model, 1 if model is Model.MAX_PLUS else 2)
-
-
 def pick_finite_in_interval(
     lo: TScalar, strict_lo: bool, hi: TScalar, strict_hi: bool
 ) -> TScalar:
@@ -160,10 +150,11 @@ def pick_finite_in_interval(
         return hi
     if lo.is_bottom and hi.is_top:
         return TScalar.unit(model)
+    plus = model is Model.MAX_PLUS
     if lo.is_bottom:
-        return t_mul(hi, _half_step(model))
+        return t_mul(hi, TScalar.finite(model, -1 if plus else Fraction(1, 2)))
     if hi.is_top:
-        return t_mul(lo, _double_step(model))
+        return t_mul(lo, TScalar.finite(model, 1 if plus else 2))
     if not lo < hi:
         raise InternalInconsistencyError("empty interval handed to witness picker")
     mid = (lo.payload + hi.payload) / 2
@@ -273,7 +264,7 @@ class HemispaceSpec:
             raise SpecError("both index sets must be non-empty")
         if I & J:
             raise SpecError(f"index sets overlap: {sorted(I & J)}")
-        if I | J != frozenset(range(1, n + 1)):
+        if len(I) + len(J) != n or not all(isinstance(k, int) and 1 <= k <= n for k in I | J):
             raise SpecError("index sets must partition 1..n")
         table = {}
         for i in sorted(I):
@@ -411,26 +402,12 @@ def thin_structure(spec: HemispaceSpec) -> ThinStructure:
     for i in sorted(spec.I):
         groups.setdefault((J_inf[i], J_zero[i]), []).append(i)
 
-    def class_cmp(a, b):
-        (Ka, La), (Kb, Lb) = a[0], b[0]
-        if Ka == Kb and La == Lb:
-            return 0
-        if Kb < Ka:
-            return -1
-        if Ka < Kb:
-            return 1
-        if Ka == Kb:
-            if La < Lb:
-                return -1
-            if Lb < La:
-                return 1
-        raise InternalInconsistencyError("incomparable classes in a validated spec")
-
-    ordered = sorted(groups.items(), key=cmp_to_key(class_cmp))
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            if class_cmp(ordered[a], ordered[b]) != -1:
-                raise InternalInconsistencyError("class order is not total")
+    # Classes descend strictly in K, then ascend strictly in L.  That
+    # relation is transitive, so checking neighbours proves it total.
+    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[0][0]), len(kv[0][1])))
+    for ((Ka, La), _), ((Kb, Lb), _) in zip(ordered, ordered[1:]):
+        if not (Kb < Ka or (Ka == Kb and La < Lb)):
+            raise InternalInconsistencyError("incomparable classes in a validated spec")
 
     classes = []
     beta: dict[int, TScalar] = {}
@@ -675,76 +652,6 @@ def to_halfspace(spec: HemispaceSpec) -> HalfspaceForm:
         {i: ts.beta[i] for i in first.I_elems},
         {j: ts.gamma[j] for j in first.J_elems},
     )
-
-
-# ----------------------------------------------------------------------
-# Reflection of a class (the complementary cone within its plane).
-
-
-def reflection_member(ts: ThinStructure, r: int, x: TVec) -> bool:
-    """Membership in the reflection of class r (I/J and strictness swapped).
-
-    Meaningful for points supported on the class plane; together with
-    the class cone it partitions that plane.
-    """
-    if not 1 <= r <= len(ts.classes):
-        raise IndexError(f"class index {r} out of range 1..{len(ts.classes)}")
-    if x.dim != ts.n:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {ts.n}")
-    if x.is_zero():
-        return True
-    cls = ts.classes[r - 1]
-    w = t_max((t_mul(ts.gamma[j], x.at(j)) for j in cls.J_elems), ts.model)
-    m = t_max((t_mul(ts.beta[i], x.at(i)) for i in cls.I_elems), ts.model)
-    if w < m:
-        return False
-    for i in cls.I_elems:
-        if t_mul(ts.beta[i], x.at(i)) == w:
-            if not any(
-                t_mul(ts.gamma[k], x.at(k)) == w and k in ts.J_lt[i] for k in cls.J_elems
-            ):
-                return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Alpha matrix of a complementary pair.
-
-
-class BoundaryOwner(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
-    ZERO = "zero"
-    TOP = "top"
-
-
-@dataclass(frozen=True)
-class AlphaEntry:
-    value: TScalar
-    owner: BoundaryOwner
-
-
-def alpha_matrix(v1: HemispaceSpec, v2: HemispaceSpec) -> dict[tuple[int, int], AlphaEntry]:
-    """Boundary scalars of a joined pair, with ownership of each boundary.
-
-    v2 must be the standard-form complement of v1; the matrix is then
-    just v1's thresholds annotated with which side holds the borderline
-    combination e_i + sigma_ij * e_j.
-    """
-    if complement_spec(v1) != v2:
-        raise SpecError("second spec is not the complement of the first")
-    out = {}
-    for (i, j), b in sorted(v1.sigma.items()):
-        if b.threshold.is_bottom:
-            owner = BoundaryOwner.ZERO
-        elif b.threshold.is_top:
-            owner = BoundaryOwner.TOP
-        elif b.closed:
-            owner = BoundaryOwner.FIRST
-        else:
-            owner = BoundaryOwner.SECOND
-        out[(i, j)] = AlphaEntry(b.threshold, owner)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reading and writing hemispace spec files.
+"""Hemispace spec files: parsing and canonical text.
 
 The on-disk form is JSON with 1-based indices::
 
@@ -61,10 +61,7 @@ def parse_spec_text_raw(text: str):
     form for the checker itself.
     """
     model, dim, I, J, sigma, affine, contains_zero = _parse_fields(text)
-    raw = HemispaceSpec.raw(model, dim, I, J, sigma)
-    if affine and dim not in raw.I:
-        raise SpecFormatError(f"affine spec must list the index n+1 = {dim} in I")
-    return raw, affine, contains_zero
+    return HemispaceSpec.raw(model, dim, I, J, sigma), affine, contains_zero
 
 
 def _parse_fields(text: str):
@@ -128,11 +125,6 @@ def _parse_fields(text: str):
     return model, dim, I, J, sigma, affine, contains_zero
 
 
-def load_spec(path: str) -> SpecLike:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read())
-
-
 def canonical_text(obj: SpecLike) -> str:
     if isinstance(obj, AffineHemispace):
         spec, affine, contains_zero = obj.base, True, obj.contains_zero
@@ -157,7 +149,3 @@ def canonical_text(obj: SpecLike) -> str:
     ]
     return json.dumps(doc, indent=2) + "\n"
 
-
-def save_spec(obj: SpecLike, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_text(obj))

@@ -12,9 +12,8 @@ the file formats and the CLI.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .semiring import (
     Model,
@@ -294,84 +293,3 @@ def pr_member(x: TVec, d: PRDecomposition) -> bool:
         raise DimensionMismatchError("vector does not match decomposition model/dim")
     lifted = x.append(TScalar.unit(d.model))
     return cone_member_fg(lifted, homogenize(d)).member
-
-
-class GatherMode(enum.Enum):
-    SUPPORT_CHECKED = "support-checked"
-    CALLER_ASSERTED = "caller-asserted"
-
-
-class GatherError(ValueError):
-    def __init__(self, index: int, ray: TVec):
-        self.index = index
-        self.ray = ray
-        super().__init__(
-            f"decomposition #{index}: ray {ray} has no hull point with support "
-            f"inside supp(ray); union is not justified"
-        )
-
-
-def gather(ds: Sequence[PRDecomposition], mode: GatherMode) -> PRDecomposition:
-    """Unite (P, R)-decompositions into one.
-
-    In support-checked mode every ray z of each part must dominate the
-    support of some hull generator of the same part (the only condition
-    that is machine-checkable on finite data).  In caller-asserted mode
-    the caller vouches that the union of the parts is already convex for
-    a different reason (e.g. the combined set is closed).
-    """
-    if not ds:
-        raise ValueError("nothing to gather")
-    model, dim = ds[0].model, ds[0].dim
-    for d in ds:
-        if d.model is not model or d.dim != dim:
-            raise DimensionMismatchError("mixed models or dimensions in gather")
-    if mode is GatherMode.SUPPORT_CHECKED:
-        for idx, d in enumerate(ds):
-            for z in sorted(d.R, key=TVec.sort_key):
-                if not any(support(p) <= support(z) for p in d.P):
-                    raise GatherError(idx, z)
-    P = frozenset().union(*(d.P for d in ds))
-    R = frozenset().union(*(d.R for d in ds))
-    return PRDecomposition.of(model, dim, P, R)
-
-
-class Recession(enum.Enum):
-    NO = "no"
-    SAMPLED_YES = "sampled-yes"
-
-
-def default_lambda_ladder(model: Model, m: int = 6) -> list[TScalar]:
-    """Geometric ladder 2^-m .. 2^m around the unit, plus zero."""
-    two = TScalar.finite(model, 1) if model is Model.MAX_PLUS else TScalar.finite(model, 2)
-    out = [TScalar.bottom(model)]
-    lam = TScalar.unit(model)
-    for _ in range(m):
-        lam = t_mul(lam, two)
-        out.append(lam)
-    lam = TScalar.unit(model)
-    inv_two = t_inv(two)
-    out.append(TScalar.unit(model))
-    for _ in range(m):
-        lam = t_mul(lam, inv_two)
-        out.append(lam)
-    return out
-
-
-def is_locally_recessive(
-    z: TVec, x: TVec, d: PRDecomposition, lambdas: Sequence[TScalar]
-) -> Recession:
-    """Sampled test whether x + lam*z stays in the set for all lam.
-
-    A single failing sample refutes recession exactly; staying inside on
-    every sample is only evidence (hence SAMPLED_YES, never a proof).
-    """
-    _same_space(z, x)
-    if not pr_member(x, d):
-        raise ValueError("base point is not a member of the decomposition")
-    for lam in lambdas:
-        if lam.is_top:
-            raise ValueError("Top is not a valid recession sample")
-        if not pr_member(x.join(z.scale(lam)), d):
-            return Recession.NO
-    return Recession.SAMPLED_YES

@@ -57,7 +57,6 @@ from .tlinalg import (
     pr_member,
     segment_points,
     support,
-    unit_vector,
 )
 
 MemberFn = Callable[[TVec], bool]
@@ -357,72 +356,6 @@ def violation_witness_detail(spec: HemispaceSpec, v: Violation) -> ViolationWitn
         if not cert.member:
             raise InternalInconsistencyError("witness is not in both generator cones")
     return ViolationWitnessDetail(z, inside, outside, lam)
-
-
-def violation_witness(spec: HemispaceSpec, v: Violation) -> TVec:
-    return violation_witness_detail(spec, v).z
-
-
-# ----------------------------------------------------------------------
-# Approximate boundary bracketing for black-box joined pairs.  The exact
-# boundary scalar of an unstructured pair admits no terminating search,
-# so this only narrows a user-supplied window by bisection.
-
-
-class WindowError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class AlphaBracket:
-    """Approximate enclosure of a boundary scalar: side1 holds at lo,
-    side2 at hi; the exact boundary lies somewhere in [lo, hi]."""
-
-    lo: TScalar
-    hi: TScalar
-    evaluations: int
-
-
-def alpha_bracket(
-    side1: MemberFn,
-    side2: MemberFn,
-    model: Model,
-    n: int,
-    i: int,
-    j: int,
-    window: tuple[TScalar, TScalar],
-    steps: int = 32,
-) -> AlphaBracket:
-    """Bisect the scaling boundary between e_i + lam*e_j memberships.
-
-    Approximate by design: the result is only a rational enclosure, and
-    the caller must supply oracles that really form a joined pair (the
-    monotone split of the scalings is what bisection relies on).
-    """
-    lo, hi = window
-    if not (lo.is_finite and hi.is_finite and lo < hi):
-        raise WindowError("window must be a nonempty finite interval")
-
-    def probe(lam: TScalar) -> bool:
-        x = unit_vector(model, i, n).join(unit_vector(model, j, n).scale(lam))
-        m1, m2 = side1(x), side2(x)
-        if m1 == m2:
-            raise WindowError(f"oracles are not a joined pair at lam={lam}")
-        return m1
-
-    evaluations = 2
-    if not probe(lo):
-        raise WindowError("boundary is below the window")
-    if probe(hi):
-        raise WindowError("boundary is above the window")
-    for _ in range(steps):
-        mid = TScalar.finite(model, (lo.payload + hi.payload) / 2)
-        evaluations += 1
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return AlphaBracket(lo, hi, evaluations)
 
 
 def quasisector_in_cone(spec: HemispaceSpec, sid: SectorId) -> bool:

@@ -1,10 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import MP, MT
+import tropconv
 from tropconv.cli import main
 from tropconv.hemispace import (
     AffineHemispace,
@@ -139,6 +145,43 @@ def test_cli_check(worked_file, tmp_path, capsys):
     malformed.write_text('{"model": "max-times", "n": 2, "I": [1, 2], "J": [], "sigma": []}')
     assert main(["check", str(malformed)]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("command, extra", [("check", []), ("member", ["[1]"])],
+                         ids=["check", "member"])
+def test_cli_unreadable_spec_file_exits_2(tmp_path, capsys, command, extra):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"model": "\xff"}')
+    for path, message in ((tmp_path, "cannot read"), (binary, "not UTF-8")):
+        assert main([command, str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def test_cli_check_rejects_a_huge_n_promptly(tmp_path):
+    # The index sets are checked by size and range, never by listing
+    # 1..n.  The run gets a memory cap so that a regression fails the
+    # test instead of exhausting the machine; one BLAS thread keeps the
+    # numpy import well inside that cap.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"model": "max-times", "n": 1000000000000, "I": [1], "J": [2], "sigma": ['
+        '{"i": 1, "j": 2, "threshold": "1", "closed": true}]}'
+    )
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from tropconv.cli import main\n"
+        "sys.exit(main(['check', sys.argv[1]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tropconv.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "index sets must partition 1..n" in done.stderr
+    assert time.perf_counter() - start < 30
 
 
 def test_cli_member(worked_file, capsys):

@@ -6,8 +6,6 @@ import pytest
 from conftest import MP, MT, bset, sc, vec
 from tropconv.hemispace import (
     AffineHemispace,
-    AlphaEntry,
-    BoundaryOwner,
     BoundarySet,
     HemispaceSpec,
     NotClosedError,
@@ -15,7 +13,6 @@ from tropconv.hemispace import (
     SpecError,
     affine_complement,
     affine_member,
-    alpha_matrix,
     complement_spec,
     conical_member,
     down_up_overlap,
@@ -24,13 +21,13 @@ from tropconv.hemispace import (
     is_closed,
     overlap_finite_witness,
     rank_one_check,
-    reflection_member,
+    thin_structure,
     to_halfspace,
     to_halfspace_affine,
     upset_of,
     upset_product,
 )
-from tropconv.semiring import TScalar, t_max, t_mul
+from tropconv.semiring import InternalInconsistencyError, TScalar, t_mul
 from tropconv.tlinalg import TVec, support
 from tropconv.verify import (
     grid_for_spec,
@@ -289,8 +286,24 @@ def test_thin_structure_coordinate_plane():
     assert not conical_member(spec, vec("[5, 1, 0]"))
 
 
+@pytest.mark.parametrize("sigma", [
+    # Top column sets {3, 4} and {5}: neither contains the other
+    {(1, 3): bset("inf", False), (1, 4): bset("inf", False), (1, 5): bset("zero", True),
+     (2, 3): bset("zero", True), (2, 4): bset("zero", True), (2, 5): bset("inf", False)},
+    # equal Top column sets, zero column sets {3} and {4}
+    {(1, 3): bset("zero", True), (1, 4): bset("1", True),
+     (2, 3): bset("1", True), (2, 4): bset("zero", True)},
+], ids=["top-columns", "zero-columns"])
+def test_thin_structure_rejects_incomparable_classes(sigma):
+    n = max(j for _, j in sigma)
+    raw = HemispaceSpec.raw(MT, n, [1, 2], range(3, n + 1), sigma)
+    assert rank_one_check(raw) is not None
+    with pytest.raises(InternalInconsistencyError, match="incomparable classes"):
+        thin_structure(raw)
+
+
 # ----------------------------------------------------------------------
-# Membership, complement, alpha matrix.
+# Membership and complement.
 
 
 def test_membership_worked_cases(worked_spec):
@@ -402,126 +415,6 @@ def test_generator_soundness_on_random_specs():
                     )
                 # Top always lands in the complement (it collapses to e_j).
                 assert not conical_member(spec, generator_pair(spec, i, j, TScalar.top(model)))
-
-
-def _class_cone_member(ts, r, x):
-    """Oracle for membership in the r-th class cone, straight from the
-    halfspace-with-ownership description."""
-    cls = ts.classes[r - 1]
-    if x.is_zero():
-        return True
-    if not support(x) <= set(cls.I_elems) | set(cls.J_elems):
-        return False
-    if not any(not x.at(i).is_bottom for i in cls.I_elems):
-        return False
-    if not cls.J_elems:
-        return True
-    rhs = t_max((t_mul(ts.beta[i], x.at(i)) for i in cls.I_elems), ts.model)
-    lhs = t_max((t_mul(ts.gamma[j], x.at(j)) for j in cls.J_elems), ts.model)
-    if rhs < lhs:
-        return False
-    if lhs == rhs:
-        for j in cls.J_elems:
-            if t_mul(ts.gamma[j], x.at(j)) == rhs:
-                if not any(t_mul(ts.beta[k], x.at(k)) == rhs and j in ts.J_le[k]
-                           for k in cls.I_elems):
-                    return False
-    return True
-
-
-def test_reflection_pairs_with_class_cone():
-    rng = random.Random(23)
-    for model in (MT, MP):
-        for _ in range(10):
-            spec = random_valid_spec(rng, model, rng.choice([3, 4]))
-            ts = spec.thin
-            for r, cls in enumerate(ts.classes, start=1):
-                plane = sorted(set(cls.I_elems) | set(cls.J_elems))
-                grid = make_grid(model, len(plane),
-                                 (b.threshold for b in spec.sigma.values()))
-                for p in grid.points():
-                    x = TVec.zero(model, spec.n)
-                    for axis, coord in zip(plane, p.coords):
-                        x = x.with_coord(axis, coord)
-                    inside = _class_cone_member(ts, r, x)
-                    reflected = reflection_member(ts, r, x)
-                    if x.is_zero():
-                        assert inside and reflected
-                    else:
-                        assert inside != reflected, (r, str(x))
-
-
-def _column_sum_member(ts, r, x):
-    """Sampled oracle: the reflection as a sum of per-column cones.
-
-    Each column j hosts x_j plus those I-coordinates its value dominates
-    (weakly or strictly depending on which side owns the boundary), so
-    the sum covers x exactly when every nonzero I-coordinate is hosted
-    somewhere.
-    """
-    cls = ts.classes[r - 1]
-    if x.is_zero():
-        return True
-    for i in cls.I_elems:
-        if x.at(i).is_bottom:
-            continue
-        lhs = t_mul(ts.beta[i], x.at(i))
-        hosted = False
-        for j in cls.J_elems:
-            rhs = t_mul(ts.gamma[j], x.at(j))
-            if j in ts.J_lt[i]:
-                hosted = lhs <= rhs
-            else:
-                hosted = lhs < rhs
-            if hosted:
-                break
-        if not hosted:
-            return False
-    return True
-
-
-def test_reflection_decomposes_into_column_cones():
-    # Cross-check (sampled, never relied upon elsewhere): on the class
-    # plane the reflection coincides with the sum of its column cones.
-    rng = random.Random(41)
-    for model in (MT, MP):
-        for _ in range(8):
-            spec = random_valid_spec(rng, model, rng.choice([3, 4]))
-            ts = spec.thin
-            for r, cls in enumerate(ts.classes, start=1):
-                plane = sorted(set(cls.I_elems) | set(cls.J_elems))
-                grid = make_grid(model, len(plane),
-                                 (b.threshold for b in spec.sigma.values()))
-                for p in grid.points():
-                    x = TVec.zero(model, spec.n)
-                    for axis, coord in zip(plane, p.coords):
-                        x = x.with_coord(axis, coord)
-                    assert reflection_member(ts, r, x) == _column_sum_member(ts, r, x)
-
-
-def test_alpha_matrix_worked(worked_spec):
-    comp = complement_spec(worked_spec)
-    alpha = alpha_matrix(worked_spec, comp)
-    assert alpha[(1, 3)] == AlphaEntry(sc("1"), BoundaryOwner.FIRST)
-    assert alpha[(1, 4)].owner is BoundaryOwner.TOP
-    assert alpha[(2, 3)].owner is BoundaryOwner.ZERO
-    assert alpha[(2, 4)] == AlphaEntry(sc("1"), BoundaryOwner.FIRST)
-    with pytest.raises(SpecError):
-        alpha_matrix(worked_spec, worked_spec)
-    # the mirrored pair flips finite ownership and inverts thresholds
-    flipped = alpha_matrix(comp, worked_spec)
-    assert flipped[(3, 1)] == AlphaEntry(sc("1"), BoundaryOwner.SECOND)
-    assert flipped[(4, 1)].owner is BoundaryOwner.ZERO
-
-
-def test_all_closed_alpha_owned_by_first():
-    sigma = {
-        (1, 3): bset("2", True), (1, 4): bset("4", True),
-        (2, 3): bset("1", True), (2, 4): bset("2", True),
-    }
-    spec = HemispaceSpec.build(MT, 4, [1, 2], [3, 4], sigma)
-    for entry in alpha_matrix(spec, complement_spec(spec)).values():
-        assert entry.owner in (BoundaryOwner.FIRST, BoundaryOwner.ZERO)
 
 
 # ----------------------------------------------------------------------
@@ -659,33 +552,6 @@ def test_closed_spec_membership_equals_finite_residuation():
                 )
 
 
-def test_alpha_entries_match_their_defining_boundary():
-    # Each finite boundary scalar is the sup of scalings on the first
-    # side; a bisection bracket around it must enclose the stored value
-    # tightly, and the stored ownership decides the boundary point.
-    from tropconv.verify import alpha_bracket
-
-    rng = random.Random(59)
-    half = sc("1/2", MT)
-    four = sc("4", MT)
-    for _ in range(8):
-        spec = random_valid_spec(rng, MT, rng.choice([3, 4]))
-        comp = complement_spec(spec)
-        alpha = alpha_matrix(spec, comp)
-        side1 = lambda x, s=spec: conical_member(s, x)
-        side2 = lambda x, c=comp: conical_member(c, x)
-        for (i, j), entry in sorted(alpha.items()):
-            if not entry.value.is_finite:
-                continue
-            window = (t_mul(entry.value, half), t_mul(entry.value, four))
-            bracket = alpha_bracket(side1, side2, MT, spec.n, i, j, window, steps=30)
-            assert bracket.lo <= entry.value <= bracket.hi
-            boundary_pt = generator_pair(spec, i, j, entry.value)
-            assert conical_member(spec, boundary_pt) == (
-                entry.owner is BoundaryOwner.FIRST
-            )
-
-
 def test_complement_is_an_involution_on_random_specs():
     rng = random.Random(61)
     for model in (MT, MP):
@@ -695,11 +561,10 @@ def test_complement_is_an_involution_on_random_specs():
 
 
 def test_gathered_sector_decompositions_stay_inside():
-    # Uniting the (P, R) forms of sectors contained in a hemispace is the
-    # canonical gather use: condition (iii) holds because each sector's
-    # hull point is supported inside each of its rays.
+    # The (P, R) forms of sectors contained in a hemispace may be united:
+    # each sector's hull point is supported inside each of its rays.
     from tropconv.sectors import SectorId, sector_pr
-    from tropconv.tlinalg import GatherMode, gather, pr_member
+    from tropconv.tlinalg import PRDecomposition, pr_member
     from tropconv.verify import sector_in_affine_side
 
     sigma = {(1, 2): bset("1", True), (3, 2): bset("2", True)}
@@ -717,7 +582,11 @@ def test_gathered_sector_decompositions_stay_inside():
         if sector_in_affine_side(h, sid):
             parts.append(sector_pr(sid))
     assert len(parts) >= 3
-    merged = gather(parts, GatherMode.SUPPORT_CHECKED)
+    for d in parts:
+        assert all(any(support(p) <= support(z) for p in d.P) for z in d.R)
+    merged = PRDecomposition.of(
+        MT, 2, frozenset().union(*(d.P for d in parts)), frozenset().union(*(d.R for d in parts))
+    )
     for x in grid.points():
         if pr_member(x, merged):
             assert affine_member(h, x)

@@ -7,16 +7,10 @@ from tropconv.semiring import TScalar
 from tropconv.tlinalg import (
     ConeGen,
     DimensionMismatchError,
-    GatherError,
-    GatherMode,
     PRDecomposition,
-    Recession,
     TVec,
     cone_member_fg,
-    default_lambda_ladder,
-    gather,
     homogenize,
-    is_locally_recessive,
     parse_vector,
     pr_member,
     section_unity,
@@ -152,66 +146,6 @@ def test_section_scaling_invariance():
                     cone_member_fg(lifted, cone).member
                     == cone_member_fg(scaled, cone).member
                 )
-
-
-def test_gather_modes():
-    d = PRDecomposition.of(MT, 2, {vec("[1, 0]")}, {vec("[1, 1]")})
-    assert gather([d], GatherMode.SUPPORT_CHECKED) == d
-
-    # supp([1,0]) is inside supp([1,1]): accepted.
-    merged = gather([d, d], GatherMode.SUPPORT_CHECKED)
-    assert merged == d
-
-    bad = PRDecomposition.of(MT, 2, {vec("[0, 1]")}, {vec("[1, 0]")})
-    with pytest.raises(GatherError) as err:
-        gather([d, bad], GatherMode.SUPPORT_CHECKED)
-    assert err.value.index == 1
-    assert err.value.ray == vec("[1, 0]")
-
-    merged = gather([d, bad], GatherMode.CALLER_ASSERTED)
-    assert merged.P == d.P | bad.P and merged.R == d.R | bad.R
-
-
-def test_local_recession():
-    ladder = default_lambda_ladder(MT)
-    d = PRDecomposition.of(MT, 2, {vec("[1, 0]")}, {vec("[1, 1]")})
-    assert is_locally_recessive(vec("[1, 1]"), vec("[1, 0]"), d, ladder) == Recession.SAMPLED_YES
-
-    point_only = PRDecomposition.of(MT, 2, {vec("[1, 0]")}, set())
-    assert (
-        is_locally_recessive(vec("[0, 1]"), vec("[1, 0]"), point_only, [sc("2")])
-        == Recession.NO
-    )
-    assert (
-        is_locally_recessive(TVec.zero(MT, 2), vec("[1, 0]"), point_only, ladder)
-        == Recession.SAMPLED_YES
-    )
-    with pytest.raises(ValueError):
-        is_locally_recessive(vec("[1, 1]"), vec("[9, 9]"), point_only, ladder)
-
-
-def test_recessive_support_promotion():
-    # Local recession at y promotes to global recession when the ray
-    # covers supp(y): unrefuted z with supp(y) <= supp(z) must keep every
-    # sampled member inside under every sampled scaling.
-    rng = random.Random(3)
-    ladder = default_lambda_ladder(MT, m=4)
-    grid = make_grid(MT, 2)
-    checked = 0
-    for _ in range(40):
-        d = random_pr(rng, MT, 2)
-        members = [x for x in grid.points() if pr_member(x, d)]
-        if not members:
-            continue
-        y = rng.choice(members)
-        z = rng.choice([p for p in grid.points() if support(y) <= support(p)])
-        if is_locally_recessive(z, y, d, ladder) == Recession.NO:
-            continue
-        checked += 1
-        for x in rng.sample(members, min(5, len(members))):
-            for lam in ladder:
-                assert pr_member(x.join(z.scale(lam)), d)
-    assert checked >= 5
 
 
 def test_vector_literals():

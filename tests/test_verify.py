@@ -10,7 +10,6 @@ from tropconv.hemispace import (
     HemispaceSpec,
     affine_complement,
     affine_member,
-    complement_spec,
     conical_member,
     rank_one_check,
 )
@@ -34,7 +33,6 @@ from tropconv.verify import (
     run_properties,
     sector_union_check,
     segment_convexity_check,
-    violation_witness,
     violation_witness_detail,
 )
 
@@ -174,7 +172,6 @@ def test_violation_witness_lands_in_both_cones():
     assert not detail.z.is_zero()
     for gens in (detail.inside_gens, detail.outside_gens):
         assert cone_member_fg(detail.z, ConeGen.of(MT, 4, gens)).member
-    assert violation_witness(raw, v) == detail.z
 
 
 def test_violation_witness_requires_a_violation():
@@ -185,7 +182,7 @@ def test_violation_witness_requires_a_violation():
             (2, 3): bset("1", True), (2, 4): bset("2", True)})
     )
     with pytest.raises(ValueError, match="no violation"):
-        violation_witness(spec, fake)
+        violation_witness_detail(spec, fake)
 
 
 def test_random_violations_mirrored_sides():
@@ -247,30 +244,6 @@ def test_counterexample_replay():
     # replay: the reported join must really leave the set
     again = closure_check(axes_only, grid, None, closure_scalars(MT))
     assert again == bad
-
-
-def test_alpha_bracket_encloses_boundary():
-    from tropconv.verify import WindowError, alpha_bracket
-
-    spec = worked_example()
-    comp_spec = complement_spec(spec)
-    side1 = lambda x: conical_member(spec, x)
-    side2 = lambda x: conical_member(comp_spec, x)
-    window = (sc("1/8"), sc("8"))
-    bracket = alpha_bracket(side1, side2, MT, 4, 1, 3, window, steps=24)
-    assert bracket.lo <= sc("1") <= bracket.hi
-    width = bracket.hi.payload - bracket.lo.payload
-    assert width < (sc("8").payload - sc("1/8").payload) / 2**20
-
-    # boundary for (2, 3) sits at zero, below any finite window
-    with pytest.raises(WindowError, match="below"):
-        alpha_bracket(side1, side2, MT, 4, 2, 3, window)
-    # boundary for (1, 4) is Top, above any finite window
-    with pytest.raises(WindowError, match="above"):
-        alpha_bracket(side1, side2, MT, 4, 1, 4, window)
-    # a non-pair is detected at the first probe that lands in both
-    with pytest.raises(WindowError, match="joined pair"):
-        alpha_bracket(side1, side1, MT, 4, 1, 3, window)
 
 
 def test_random_generators_cover_models_and_shapes():
