@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .hemispace import (
     AffineHemispace,
@@ -34,7 +33,7 @@ from .sectors import (
     sector_pr,
     semispace_contains,
 )
-from .semiring import Model, format_scalar_compact, parse_scalar
+from .semiring import Model, format_scalar_compact, parse_fraction, parse_scalar
 from .specio import (
     SpecFormatError,
     canonical_text,
@@ -153,7 +152,7 @@ def cmd_halfspace(args) -> int:
 def cmd_render2d(args) -> int:
     obj = _load(args.path, parse_spec_text)
     try:
-        wx, wy = (Fraction(tok) for tok in args.window.split(","))
+        wx, wy = (parse_fraction(tok) for tok in args.window.split(","))
         config = RenderConfig(
             window=(wx, wy),
             resolution=args.resolution,
@@ -193,7 +192,10 @@ def _parse_sector(args, model: Model) -> SectorId:
 
 
 def cmd_sectors(args) -> int:
-    model = Model.parse(args.model)
+    try:
+        model = Model.parse(args.model)
+    except ValueError as exc:
+        raise CliError(str(exc))
     sid = _parse_sector(args, model)
     if args.action == "gens":
         if args.quasi:

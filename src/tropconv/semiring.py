@@ -181,6 +181,14 @@ def t_max(values, model: Model) -> TScalar:
 # has no finite zero payload); negative numerics are rejected there.
 
 
+def parse_fraction(token: str) -> Fraction:
+    """An exact rational token.  The exponent form is refused, since
+    `Fraction("1e999999999")` would build a billion-digit integer."""
+    if "e" in token.lower():
+        raise ValueError("exponent form is not accepted")
+    return Fraction(token)
+
+
 def parse_scalar(token: str, model: Model) -> TScalar:
     text = token.strip()
     if text == "zero":
@@ -188,7 +196,7 @@ def parse_scalar(token: str, model: Model) -> TScalar:
     if text == "inf":
         return TScalar.top(model)
     try:
-        q = Fraction(text)
+        q = parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar token {token!r}: {exc}") from None
     if model is Model.MAX_TIMES:

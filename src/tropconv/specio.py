@@ -72,11 +72,15 @@ def _parse_fields(text: str):
     if not isinstance(payload, dict):
         raise SpecFormatError("top level must be an object")
 
-    model = Model.parse(_need(payload, "model", str, "spec"))
+    name = _need(payload, "model", str, "spec")
+    try:
+        model = Model.parse(name)
+    except ValueError as exc:
+        raise SpecFormatError(f"spec: {exc}") from None
     n = _need(payload, "n", int, "spec")
     if n < 1:
         raise SpecFormatError("n must be positive")
-    affine = bool(payload.get("affine", False))
+    affine = "affine" in payload and _need(payload, "affine", bool, "spec")
     dim = n + 1 if affine else n
 
     def index_list(key: str) -> list[int]:

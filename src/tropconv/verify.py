@@ -6,10 +6,11 @@ as production code, and a failing check always carries a counterexample
 that reproduces the failure standalone.  Randomised sampling takes an
 explicit seed; identical seeds give identical verdicts.
 
-The all-pairs closure check encodes grid points as value indices so the
-pair loop can run in numpy; indices are exact (values are sorted, so an
-index-wise max is the tropical sum), and any reported failure is
-re-checked through the exact path before being believed.
+The all-pairs closure check writes each grid point as an int holding
+one thermometer field per coordinate (value index k as k one-bits).
+Grid values are sorted, so the bitwise or of two codes is the code of
+their tropical sum and each pair check is a set lookup; any reported
+failure is re-checked through the exact path before being believed.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 from .semiring import InternalInconsistencyError, Model, TScalar, t_inv, t_mul
 from .hemispace import (
@@ -54,6 +53,7 @@ from .tlinalg import (
     PRDecomposition,
     TVec,
     cone_member_fg,
+    homogenize,
     pr_member,
     segment_points,
     support,
@@ -202,15 +202,11 @@ def affine_partition_check(h: AffineHemispace, grid: GridSpec) -> Verdict:
     )
 
 
-def _grid_membership(member: MemberFn, grid: GridSpec):
+def _grid_membership(member: MemberFn, grid: GridSpec) -> list[tuple[int, ...]]:
+    """Index tuples of the grid points that are members, in row-major order."""
     m = len(grid.values)
-    table = np.zeros(m ** grid.n, dtype=bool)
-    members_idx = []
-    for flat, idx in enumerate(itertools.product(range(m), repeat=grid.n)):
-        if member(grid.point(idx)):
-            table[flat] = True
-            members_idx.append(idx)
-    return table, members_idx
+    return [idx for idx in itertools.product(range(m), repeat=grid.n)
+            if member(grid.point(idx))]
 
 
 def closure_check(
@@ -224,14 +220,12 @@ def closure_check(
     """Members stay members under pairwise joins and scalar multiples.
 
     pairs=None checks every pair of grid members; the grid is closed
-    under joins, so the pair loop reduces to exact table lookups and can
-    run vectorised.  Any candidate failure is re-verified through the
-    exact membership path before it is reported.
+    under joins, so each pair check is a lookup of the join's code among
+    the members' codes.  Any candidate failure is re-verified through
+    the exact membership path before it is reported.
     """
-    m = len(grid.values)
-    table, members_idx = _grid_membership(member, grid)
+    members_idx = _grid_membership(member, grid)
     cases = grid.size
-    radix = m ** np.arange(grid.n - 1, -1, -1)
 
     def recheck(ia, ib) -> Optional[Verdict]:
         x, y = grid.point(ia), grid.point(ib)
@@ -240,39 +234,44 @@ def closure_check(
             return Verdict(name, False, cases, f"x={x}, y={y}, join={z} left the set")
         return None
 
-    if members_idx:
-        A = np.array(members_idx, dtype=np.int64)
-        if pairs is None:
-            for start in range(0, len(A), 256):
-                block = A[start : start + 256]
-                keys = np.maximum(block[:, None, :], A[None, :, :]) @ radix
-                cases += keys.size
-                bad = ~table[keys]
-                if bad.any():
-                    a_off, b_off = np.argwhere(bad)[0]
-                    bad_verdict = recheck(tuple(block[a_off]), tuple(A[b_off]))
-                    if bad_verdict is not None:
-                        return bad_verdict
-                    raise InternalInconsistencyError("index table disagrees with exact path")
-        else:
-            rng = random.Random(f"{seed}:{name}:pairs")
-            for _ in range(pairs):
-                ia = members_idx[rng.randrange(len(members_idx))]
-                ib = members_idx[rng.randrange(len(members_idx))]
-                cases += 1
-                bad_verdict = recheck(ia, ib)
+    if pairs is None:
+        m = len(grid.values)
+        codes = [sum(((1 << k) - 1) << (c * m) for c, k in enumerate(idx))
+                 for idx in members_idx]
+        inside = set(codes)
+        # Cases count a block of up to 256 rows before any of its pairs.
+        # The join is symmetric, so the first failing pair in row-major
+        # order lies on or right of the diagonal: rows start there.
+        for start in range(0, len(codes), 256):
+            rows = range(start, min(start + 256, len(codes)))
+            cases += len(rows) * len(codes)
+            for a in rows:
+                if inside.issuperset(map(codes[a].__or__, codes[a:])):
+                    continue
+                b = next(b for b in range(a, len(codes)) if codes[a] | codes[b] not in inside)
+                bad_verdict = recheck(members_idx[a], members_idx[b])
                 if bad_verdict is not None:
                     return bad_verdict
+                raise InternalInconsistencyError("join codes disagree with exact path")
+    elif members_idx:
+        rng = random.Random(f"{seed}:{name}:pairs")
+        for _ in range(pairs):
+            ia = members_idx[rng.randrange(len(members_idx))]
+            ib = members_idx[rng.randrange(len(members_idx))]
+            cases += 1
+            bad_verdict = recheck(ia, ib)
+            if bad_verdict is not None:
+                return bad_verdict
 
-        for idx in members_idx:
-            x = grid.point(idx)
-            for lam in scalars:
-                cases += 1
-                if not member(x.scale(lam)):
-                    return Verdict(
-                        name, False, cases,
-                        f"x={x}, lam={lam}: scalar multiple left the set",
-                    )
+    for idx in members_idx:
+        x = grid.point(idx)
+        for lam in scalars:
+            cases += 1
+            if not member(x.scale(lam)):
+                return Verdict(
+                    name, False, cases,
+                    f"x={x}, lam={lam}: scalar multiple left the set",
+                )
     return Verdict(name, True, cases)
 
 
@@ -285,7 +284,7 @@ def segment_convexity_check(
     name: str = "segment-convexity",
 ) -> Verdict:
     """Sampled tropical segments between members stay inside the set."""
-    _, members_idx = _grid_membership(member, grid)
+    members_idx = _grid_membership(member, grid)
     cases = grid.size
     if not members_idx:
         return Verdict(name, True, cases)
@@ -358,31 +357,9 @@ def violation_witness_detail(spec: HemispaceSpec, v: Violation) -> ViolationWitn
     return ViolationWitnessDetail(z, inside, outside, lam)
 
 
-def quasisector_in_cone(spec: HemispaceSpec, sid: SectorId) -> bool:
-    """Exact containment: a cone swallows a quasisector iff its generators."""
-    return all(
-        conical_member(spec, g) for g in quasisector_gens(sid).sorted_gens()
-    )
-
-
-def sector_in_affine_side(h: AffineHemispace, sid: SectorId) -> bool:
-    """Exact containment of a sector in one side of an affine pair.
-
-    The side is the unit section of a structured cone one dimension up,
-    and that cone holds exactly the lifted hull points and rays of every
-    sector it swallows.
-    """
-    cone = h.cone
-    one = TScalar.unit(h.base.model)
-    bot = TScalar.bottom(h.base.model)
-    d = sector_pr(sid)
-    for p in sorted(d.P, key=TVec.sort_key):
-        if not conical_member(cone, p.append(one)):
-            return False
-    for r in sorted(d.R, key=TVec.sort_key):
-        if not conical_member(cone, r.append(bot)):
-            return False
-    return True
+def _gens_in_cone(cone: HemispaceSpec, gens: ConeGen) -> bool:
+    """Exact containment: a cone swallows a generated cone iff its generators."""
+    return all(conical_member(cone, g) for g in gens.gens)
 
 
 def sector_union_check(obj, grid: GridSpec) -> Verdict:
@@ -411,10 +388,13 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
         for i in types:
             cases += 1
             if affine:
+                # The side is the unit section of its cone one dimension
+                # up, which holds the sector iff it holds the lifted hull
+                # points and rays.
                 sid = SectorId.affine(x) if i == n + 1 else SectorId.of_support(x, i)
-                contained = sector_in_affine_side(side, sid)
+                contained = _gens_in_cone(side.cone, homogenize(sector_pr(sid)))
             else:
-                contained = quasisector_in_cone(side, SectorId.of_support(x, i))
+                contained = _gens_in_cone(side, quasisector_gens(SectorId.of_support(x, i)))
             if contained:
                 hit = i
                 break

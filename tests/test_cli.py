@@ -161,8 +161,7 @@ def test_cli_unreadable_spec_file_exits_2(tmp_path, capsys, command, extra):
 def test_cli_check_rejects_a_huge_n_promptly(tmp_path):
     # The index sets are checked by size and range, never by listing
     # 1..n.  The run gets a memory cap so that a regression fails the
-    # test instead of exhausting the machine; one BLAS thread keeps the
-    # numpy import well inside that cap.
+    # test instead of exhausting the machine.
     path = tmp_path / "huge.json"
     path.write_text(
         '{"model": "max-times", "n": 1000000000000, "I": [1], "J": [2], "sigma": ['
@@ -174,14 +173,56 @@ def test_cli_check_rejects_a_huge_n_promptly(tmp_path):
         "from tropconv.cli import main\n"
         "sys.exit(main(['check', sys.argv[1]]))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(tropconv.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(Path(tropconv.__file__).parents[1])}
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
     assert "index sets must partition 1..n" in done.stderr
     assert time.perf_counter() - start < 30
+
+
+def test_cli_imports_no_numpy():
+    # tropconv has no runtime dependency: the CLI loads the standard
+    # library only.
+    script = "import sys, tropconv.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(tropconv.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_unknown_model_exits_2(tmp_path, capsys):
+    path = tmp_path / "foo.json"
+    path.write_text(WORKED.replace('"max-times"', '"foo"'))
+    assert main(["check", str(path)]) == 2
+    assert "unknown model 'foo'" in capsys.readouterr().err
+    assert main(["--model", "foo", "sectors", "gens", "--base", "[1,1]", "--type", "1"]) == 2
+    assert "unknown model 'foo'" in capsys.readouterr().err
+
+
+def test_cli_affine_flag_must_be_a_boolean(tmp_path, capsys):
+    path = tmp_path / "string-flag.json"
+    path.write_text(SECTOR_BOX.replace('"affine": true', '"affine": "false"'))
+    assert main(["member", str(path), "[1,1]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'affine' has the wrong type" in captured.err
+
+
+def test_cli_exponent_tokens_exit_2_promptly(worked_file, box_file, tmp_path, capsys):
+    # Fraction("1e10000000") would build a ten-million-digit integer.
+    path = tmp_path / "exponent.json"
+    path.write_text(WORKED.replace('"threshold": "1"', '"threshold": "1e10000000"', 1))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert "exponent form" in capsys.readouterr().err
+    assert main(["render2d", box_file, str(tmp_path / "out.svg"),
+                 "--window", "1e10000000,4"]) == 2
+    assert "exponent form" in capsys.readouterr().err
+    assert main(["member", worked_file, "[1e10000000,0,0,0]"]) == 2
+    assert "exponent form" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_member(worked_file, capsys):

@@ -564,22 +564,27 @@ def test_gathered_sector_decompositions_stay_inside():
     # The (P, R) forms of sectors contained in a hemispace may be united:
     # each sector's hull point is supported inside each of its rays.
     from tropconv.sectors import SectorId, sector_pr
-    from tropconv.tlinalg import PRDecomposition, pr_member
-    from tropconv.verify import sector_in_affine_side
+    from tropconv.tlinalg import PRDecomposition, homogenize, pr_member
 
     sigma = {(1, 2): bset("1", True), (3, 2): bset("2", True)}
     base = HemispaceSpec.build(MT, 3, [1, 3], [2], sigma)
     h = AffineHemispace(base, contains_zero=True)
+
+    def sector_in_affine_side(sid):
+        # The side's cone holds the sector iff it holds its lifted hull
+        # points and rays.
+        return all(conical_member(h.cone, g) for g in homogenize(sector_pr(sid)).gens)
+
     grid = make_grid(MT, 2, (b.threshold for b in sigma.values()))
     bases = [p for p in grid.points() if not p.is_zero()]
     parts = []
     for y in bases:
         for i in sorted(support(y)):
             sid = SectorId.of_support(y, i)
-            if sector_in_affine_side(h, sid):
+            if sector_in_affine_side(sid):
                 parts.append(sector_pr(sid))
         sid = SectorId.affine(y)
-        if sector_in_affine_side(h, sid):
+        if sector_in_affine_side(sid):
             parts.append(sector_pr(sid))
     assert len(parts) >= 3
     for d in parts:

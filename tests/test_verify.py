@@ -14,8 +14,9 @@ from tropconv.hemispace import (
     rank_one_check,
 )
 from tropconv.sectors import SectorId, sector_contains
+from tropconv import verify
 from tropconv.specio import canonical_text
-from tropconv.tlinalg import ConeGen, PRDecomposition, cone_member_fg
+from tropconv.tlinalg import ConeGen, PRDecomposition, cone_member_fg, support
 from tropconv.verify import (
     GridSpec,
     affine_partition_check,
@@ -197,16 +198,33 @@ def test_random_violations_mirrored_sides():
     assert seen_sides  # both sides typically appear over 30 draws
 
 
-def test_sector_union_and_multiorder_negative_control():
+def test_sector_union_and_multiorder_negative_control(monkeypatch):
     spec = worked_example()
-    assert sector_union_check(spec, grid_for_spec(spec)).passed
+    grid = grid_for_spec(spec)
+    assert sector_union_check(spec, grid).passed
 
     # A decomposition whose hull misses the zero vector: the multiorder
-    # equivalence must still hold; a deliberately corrupted member list
-    # is simulated by checking a wrong decomposition disagrees somewhere.
+    # equivalence must still hold.
     d = PRDecomposition.of(MT, 2, {vec("[1, 0]")}, set())
-    verdict = multiorder_invariant_check(d, make_grid(MT, 2))
-    assert verdict.passed
+    grid2 = make_grid(MT, 2)
+    assert multiorder_invariant_check(d, grid2).passed
+
+    # A cone test that rejects every point with two nonzero coordinates
+    # holds no quasisector at a base point of larger support.
+    monkeypatch.setattr(verify, "conical_member",
+                        lambda s, x: len(support(x)) < 2 and conical_member(s, x))
+    bad = sector_union_check(spec, grid)
+    assert not bad.passed
+    assert bad.counterexample.endswith("no contained sector on its own side")
+    monkeypatch.undo()
+
+    # A sector predicate that leaves out the sector's own base point:
+    # the single hull point then covers none of its own sectors.
+    monkeypatch.setattr(verify, "sector_contains",
+                        lambda sid, w: w != sid.base and sector_contains(sid, w))
+    bad = multiorder_invariant_check(d, grid2)
+    assert not bad.passed
+    assert bad.counterexample == "y=[1, 0]: member=True but sector coverage=False"
 
 
 def test_run_properties_bundle_and_determinism():
