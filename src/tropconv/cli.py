@@ -17,9 +17,9 @@ from .hemispace import (
     AffineHemispace,
     NotClosedError,
     SpecError,
-    affine_complement,
-    complement_spec,
+    complement_spec,  # noqa: F401 -- bench/test_bench.py checks tracing rebinds it here
     member_trace,
+    other_side,
     rank_one_check,
     to_halfspace,
     to_halfspace_affine,
@@ -67,14 +67,17 @@ def _load(path: str, parse):
         raise CliError(f"{path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written exits 2."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}")
+
+
 def _base_spec(obj):
     return obj.base if isinstance(obj, AffineHemispace) else obj
-
-
-def _other_side(obj):
-    if isinstance(obj, AffineHemispace):
-        return affine_complement(obj)
-    return complement_spec(obj)
 
 
 def cmd_check(args) -> int:
@@ -88,10 +91,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    out = canonical_text(_other_side(_load(args.path, parse_spec_text)))
+    out = canonical_text(other_side(_load(args.path, parse_spec_text)))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write(args.output, out)
     else:
         sys.stdout.write(out)
     return OK
@@ -99,7 +101,7 @@ def cmd_complement(args) -> int:
 
 def cmd_member(args) -> int:
     obj = _load(args.path, parse_spec_text)
-    side = _other_side(obj) if args.complement else obj
+    side = other_side(obj) if args.complement else obj
     try:  # a malformed vector or one of the wrong length
         x = parse_vector(args.vector, _base_spec(obj).model)
         trace = member_trace(side, x)
@@ -165,8 +167,7 @@ def cmd_render2d(args) -> int:
         svg = render_svg(obj, config)
     except SpecError as exc:
         raise CliError(str(exc))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.output, svg)
     print(f"wrote {args.output}")
     return OK
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
 from .semiring import (
@@ -159,13 +160,6 @@ def pick_finite_in_interval(
         raise InternalInconsistencyError("empty interval handed to witness picker")
     mid = (lo.payload + hi.payload) / 2
     return TScalar.finite(model, mid)
-
-
-def overlap_finite_witness(d: BoundarySet, u: UpSet) -> Optional[TScalar]:
-    """A finite element of the intersection of a down-set and an up-set."""
-    if not down_up_overlap(d, u):
-        return None
-    return pick_finite_in_interval(u.threshold, u.strict, d.threshold, not d.closed)
 
 
 def split_up_product(w: TScalar, u: UpSet, v: UpSet) -> tuple[TScalar, TScalar]:
@@ -324,24 +318,25 @@ class HemispaceSpec:
 
 
 def rank_one_check(spec: HemispaceSpec) -> Optional[Violation]:
-    """First failing quadruple of the disjointness equations, if any."""
-    I, J = sorted(spec.I), sorted(spec.J)
-    for i1 in I:
-        for i2 in I:
-            for j1 in J:
-                for j2 in J:
-                    up1 = upset_product(
-                        upset_of(spec.entry(i1, j2)), upset_of(spec.entry(i2, j1))
-                    )
-                    down1 = downset_product(spec.entry(i1, j1), spec.entry(i2, j2))
-                    if down_up_overlap(down1, up1):
-                        return Violation(i1, i2, j1, j2, 1, down1, up1)
-                    up2 = upset_product(
-                        upset_of(spec.entry(i1, j1)), upset_of(spec.entry(i2, j2))
-                    )
-                    down2 = downset_product(spec.entry(i1, j2), spec.entry(i2, j1))
-                    if down_up_overlap(down2, up2):
-                        return Violation(i1, i2, j1, j2, 2, down2, up2)
+    """First failing quadruple of the disjointness equations, if any.
+
+    Each 2x2 minor (i1 < i2, j1 < j2) is tested once, in lexicographic
+    order, equation 1 before equation 2.  That decides every ordered
+    quadruple: equation 2 at (j1, j2) is equation 1 at (j2, j1), and
+    swapping both pairs leaves each equation unchanged.  A quadruple with
+    i1 = i2 or j1 = j2 never fails, because anything outside a down-set
+    lies above all of it.
+    """
+    for i1, i2 in combinations(sorted(spec.I), 2):
+        for j1, j2 in combinations(sorted(spec.J), 2):
+            a, b = spec.entry(i1, j1), spec.entry(i1, j2)
+            c, d = spec.entry(i2, j1), spec.entry(i2, j2)
+            for side, down, up in (
+                (1, downset_product(a, d), upset_product(upset_of(b), upset_of(c))),
+                (2, downset_product(b, c), upset_product(upset_of(a), upset_of(d))),
+            ):
+                if down_up_overlap(down, up):
+                    return Violation(i1, i2, j1, j2, side, down, up)
     return None
 
 
@@ -500,13 +495,13 @@ def conical_member_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
     if lead is None:
         return MembershipTrace(False, "nonzero point with no support on I")
 
+    dropped = set(lead.K).union(*(cls.I_elems for cls in ts.classes[lead.index:]))
     reduced = x
-    for cls in ts.classes:
-        if cls.index > lead.index:
-            for i in cls.I_elems:
-                reduced = reduced.with_coord(i, TScalar.bottom(spec.model))
-    for j in lead.K:
-        reduced = reduced.with_coord(j, TScalar.bottom(spec.model))
+    if any(not x.at(k).is_bottom for k in dropped):
+        bot = TScalar.bottom(spec.model)
+        reduced = TVec(spec.model, tuple(
+            bot if k in dropped else c for k, c in enumerate(x.coords, start=1)
+        ))
 
     if not lead.J_elems:
         ok = support(reduced) <= set(lead.I_elems)
@@ -517,25 +512,24 @@ def conical_member_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
         return MembershipTrace(
             False, "support on a zero-threshold column", lead.index, reduced
         )
-    rhs = t_max((t_mul(ts.beta[i], reduced.at(i)) for i in lead.I_elems), spec.model)
-    lhs = t_max((t_mul(ts.gamma[j], reduced.at(j)) for j in lead.J_elems), spec.model)
-    if rhs < lhs:
+    row = {i: t_mul(ts.beta[i], reduced.at(i)) for i in lead.I_elems}
+    col = {j: t_mul(ts.gamma[j], reduced.at(j)) for j in lead.J_elems}
+    rhs = t_max(row.values(), spec.model)
+    if rhs < t_max(col.values(), spec.model):
         return MembershipTrace(False, "dominated: max gamma_j x_j > max beta_i x_i",
                                lead.index, reduced)
-    if lhs == rhs:
-        for j in lead.J_elems:
-            if t_mul(ts.gamma[j], reduced.at(j)) == rhs:
-                owned = any(
-                    t_mul(ts.beta[k], reduced.at(k)) == rhs and j in ts.J_le[k]
-                    for k in lead.I_elems
-                )
-                if not owned:
-                    return MembershipTrace(
-                        False,
-                        f"boundary attained at column {j} is owned by the complement",
-                        lead.index,
-                        reduced,
-                    )
+    # Now every column product is at most rhs; one that reaches it sits
+    # on the boundary and needs an owning row that attains rhs too.
+    for j in lead.J_elems:
+        if col[j] == rhs and not any(
+            row[k] == rhs and j in ts.J_le[k] for k in lead.I_elems
+        ):
+            return MembershipTrace(
+                False,
+                f"boundary attained at column {j} is owned by the complement",
+                lead.index,
+                reduced,
+            )
     return MembershipTrace(True, "inside the class halfspace", lead.index, reduced)
 
 
@@ -709,6 +703,13 @@ def affine_member(h: AffineHemispace, x: TVec) -> bool:
 
 def affine_complement(h: AffineHemispace) -> AffineHemispace:
     return AffineHemispace(h.base, not h.contains_zero)
+
+
+def other_side(obj: SpecLike) -> SpecLike:
+    """The other member of the complementary pair that obj belongs to."""
+    if isinstance(obj, AffineHemispace):
+        return affine_complement(obj)
+    return complement_spec(obj)
 
 
 def to_halfspace_affine(h: AffineHemispace) -> HalfspaceForm:

@@ -112,10 +112,12 @@ def quasisector_gens(s: SectorId) -> ConeGen:
         raise InvalidSectorError("quasisectors have no (n+1) type")
     y, i, n = s.base, s.type_index, s.base.dim
     model = y.model
-    ei = unit_vector(model, i, n)
+    ei = unit_vector(model, i, n).coords
     gens = set()
     for j in support(y):
-        gens.add(ei.join(unit_vector(model, j, n).scale(t_div(y.at(j), y.at(i)))))
+        coords = list(ei)  # e_i + lam*e_j touches coordinate j only
+        coords[j - 1] = t_add(coords[j - 1], t_div(y.at(j), y.at(i)))
+        gens.add(TVec(model, tuple(coords)))
     return ConeGen.of(model, n, gens)
 
 

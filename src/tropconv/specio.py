@@ -67,7 +67,7 @@ def parse_spec_text_raw(text: str):
 def _parse_fields(text: str):
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, deep nesting, huge ints
         raise SpecFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SpecFormatError("top level must be an object")

@@ -83,11 +83,6 @@ class TVec:
             raise ValueError("Top is not a vector scaling factor")
         return TVec(self.model, tuple(t_mul(lam, c) for c in self.coords))
 
-    def with_coord(self, i: int, value: TScalar) -> "TVec":
-        coords = list(self.coords)
-        coords[i - 1] = value
-        return TVec(self.model, tuple(coords))
-
     def append(self, value: TScalar) -> "TVec":
         return TVec(self.model, self.coords + (value,))
 

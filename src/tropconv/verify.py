@@ -26,15 +26,18 @@ from .hemispace import (
     AffineHemispace,
     BoundarySet,
     HemispaceSpec,
+    RankOneError,
     Violation,
     affine_complement,
     affine_member,
     complement_spec,
     conical_member,
+    down_up_overlap,
     downset_product,
     generator_pair,
     member_trace,
-    overlap_finite_witness,
+    other_side,
+    pick_finite_in_interval,
     rank_one_check,
     split_down_product,
     split_up_product,
@@ -46,14 +49,12 @@ from .sectors import (
     assemble_from_witnesses,
     quasisector_gens,
     sector_contains,
-    sector_pr,
 )
 from .tlinalg import (
     ConeGen,
     PRDecomposition,
     TVec,
     cone_member_fg,
-    homogenize,
     pr_member,
     segment_points,
     support,
@@ -306,15 +307,6 @@ def segment_convexity_check(
 # nonzero point.
 
 
-class WitnessUnavailableError(ValueError):
-    def __init__(self, i_pair, j_pair):
-        super().__init__(
-            f"violation at rows {i_pair} / columns {j_pair} has no finite witness"
-        )
-        self.i_pair = i_pair
-        self.j_pair = j_pair
-
-
 @dataclass(frozen=True)
 class ViolationWitnessDetail:
     z: TVec
@@ -329,18 +321,18 @@ def violation_witness_detail(spec: HemispaceSpec, v: Violation) -> ViolationWitn
     The violating product intersection holds a finite value w; splitting
     w into finite factors inside the four boundary sets gives two
     two-generator expressions for the same nonzero point, certified here
-    by the residuation membership test.
+    by the residuation membership test.  Raises ValueError when the
+    spec does not fail the given violation's own equation.
     """
-    if rank_one_check(spec) is None:
-        raise ValueError("no violation: the spec satisfies the rank-one condition")
     i1, i2, j1, j2 = v.i1, v.i2, v.j1, v.j2
     if v.side == 2:
         j1, j2 = j2, j1
     up = upset_product(upset_of(spec.entry(i1, j2)), upset_of(spec.entry(i2, j1)))
     down = downset_product(spec.entry(i1, j1), spec.entry(i2, j2))
-    w = overlap_finite_witness(down, up)
-    if w is None:
-        raise WitnessUnavailableError((i1, i2), (j1, j2))
+    if not down_up_overlap(down, up):
+        raise ValueError(f"no violation at (i1={v.i1}, i2={v.i2}, j1={v.j1}, j2={v.j2}), "
+                         f"equation {v.side}: {up.describe()} misses {down.describe()}")
+    w = pick_finite_in_interval(up.threshold, up.strict, down.threshold, not down.closed)
     b_i1j2, b_i2j1 = split_up_product(w, upset_of(spec.entry(i1, j2)),
                                       upset_of(spec.entry(i2, j1)))
     g_i1j1, g_i2j2 = split_down_product(w, spec.entry(i1, j1), spec.entry(i2, j2))
@@ -364,38 +356,31 @@ def _gens_in_cone(cone: HemispaceSpec, gens: ConeGen) -> bool:
 
 def sector_union_check(obj, grid: GridSpec) -> Verdict:
     """Every member point exposes a fully-contained (quasi)sector, and the
-    sector types seen on the two sides are disjoint and respect I / J."""
+    sector types seen on the two sides are disjoint and respect I / J.
+
+    An affine side is the unit section of its cone, and its type-i sector
+    at x is the unit section of the type-i quasisector at (x, 1), whose
+    generators are the sector's lifted hull point and rays up to scaling;
+    so both kinds of pair test quasisector generators against a cone.
+    """
     affine = isinstance(obj, AffineHemispace)
-    sides = _sides(obj)
+    sides = obj, other_side(obj)
+    cones = tuple(side.cone for side in sides) if affine else sides
     n = obj.ambient_dim if affine else obj.n
-    # A side may use the sector types in the I set of its cone; for the
-    # zero-containing side of an affine pair that set holds the extra
-    # type n+1.
-    allowed = tuple(set(side.cone.I if affine else side.I) for side in sides)
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match {n}")
+    one = TScalar.unit(grid.model)
     found: tuple[set, set] = (set(), set())
     cases = 0
     for x in grid.points():
         if x.is_zero() and not affine:
             continue
         which = 0 if member_trace(sides[0], x).member else 1
-        side = sides[which]
-        types = sorted(support(x))
-        if affine:
-            types = types + [n + 1]
+        y = x.append(one) if affine else x
         hit = None
-        for i in types:
+        for i in sorted(support(y)):
             cases += 1
-            if affine:
-                # The side is the unit section of its cone one dimension
-                # up, which holds the sector iff it holds the lifted hull
-                # points and rays.
-                sid = SectorId.affine(x) if i == n + 1 else SectorId.of_support(x, i)
-                contained = _gens_in_cone(side.cone, homogenize(sector_pr(sid)))
-            else:
-                contained = _gens_in_cone(side, quasisector_gens(SectorId.of_support(x, i)))
-            if contained:
+            if _gens_in_cone(cones[which], quasisector_gens(SectorId.of_support(y, i))):
                 hit = i
                 break
         if hit is None:
@@ -405,17 +390,13 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     if found[0] & found[1]:
         return Verdict("sector-union", False, cases,
                        f"sector types on both sides: {sorted(found[0] & found[1])}")
-    if not found[0] <= allowed[0] or not found[1] <= allowed[1]:
+    # A side may use the sector types in the I set of its cone; for the
+    # zero-containing side of an affine pair that set holds the extra
+    # type n+1.
+    if not found[0] <= cones[0].I or not found[1] <= cones[1].I:
         return Verdict("sector-union", False, cases,
                        f"types {sorted(found[0])} / {sorted(found[1])} leak across I/J")
     return Verdict("sector-union", True, cases)
-
-
-def _sides(obj) -> tuple:
-    """Both sides of the pair that obj belongs to, obj first."""
-    if isinstance(obj, AffineHemispace):
-        return obj, affine_complement(obj)
-    return obj, complement_spec(obj)
 
 
 def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
@@ -536,13 +517,12 @@ def random_valid_spec(
             for j in L:
                 sigma[(i, j)] = BoundarySet.make(TScalar.bottom(model), True)
 
-    spec_raw = HemispaceSpec.raw(model, n, I, J, sigma)
-    v = rank_one_check(spec_raw)
-    if v is not None:
+    try:
+        return HemispaceSpec.build(model, n, I, J, sigma)
+    except RankOneError as exc:
         raise InternalInconsistencyError(
-            f"structured generator produced a rank-one violation: {v.describe()}"
-        )
-    return HemispaceSpec.build(model, n, I, J, sigma)
+            f"structured generator produced a rank-one violation: {exc}"
+        ) from exc
 
 
 def random_valid_affine(rng: random.Random, model: Model, ambient: int) -> AffineHemispace:
@@ -599,7 +579,7 @@ def run_properties(
     """Run the named property (or all of them) on a spec or affine pair."""
     affine = isinstance(obj, AffineHemispace)
     scalars = closure_scalars(grid.model)
-    first, second = _sides(obj)
+    first, second = obj, other_side(obj)
     side1: MemberFn = lambda x: member_trace(first, x).member
     side2: MemberFn = lambda x: member_trace(second, x).member
     catalogue = {

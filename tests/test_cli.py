@@ -8,12 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import MP, MT
 import tropconv
 from tropconv.cli import main
 from tropconv.hemispace import (
     AffineHemispace,
+    SpecError,
     affine_complement,
     affine_member,
     complement_spec,
@@ -180,6 +182,69 @@ def test_cli_check_rejects_a_huge_n_promptly(tmp_path):
     assert done.returncode == 2, done.stderr
     assert "index sets must partition 1..n" in done.stderr
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    WORKED.replace('"n": 4', '"n": ' + "9" * 5000),
+], ids=["deep-nesting", "huge-int-literal"])
+def test_cli_hostile_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not valid JSON" in captured.err
+
+
+SPEC_FILES = sorted((Path(__file__).parents[1] / "specs").glob("*.json"))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**12, 10**12) | st.text(max_size=6)
+    | st.sampled_from(["zero", "inf", "1/0", "-1", "1/3", "n+1", "max-plus"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["i", "j", "threshold", "closed", "n"]), inner,
+                      max_size=3),
+    max_leaves=6,
+)
+
+# Spliced into the JSON text: nesting past the decoder's recursion
+# limit, an integer past the int-parsing digit limit, broken syntax.
+HOSTILE_CHUNKS = ["[" * 5000, "9" * 5000, "\x00", '"', "}", ",", "1e999"]
+
+
+def _containers(node):
+    """(container, key) for every member of every list and object in node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_mutated_spec_files_fail_cleanly(tmp_path_factory, data):
+    source = data.draw(st.sampled_from(SPEC_FILES), label="file")
+    doc = json.loads(source.read_text())
+    vector = "[" + ", ".join(["1"] * doc["n"]) + "]"
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        node, key = data.draw(st.sampled_from(list(_containers(doc))), label="target")
+        if data.draw(st.booleans(), label="delete"):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES, label="value")
+    text = json.dumps(doc)
+    if data.draw(st.booleans(), label="splice"):
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + data.draw(st.sampled_from(HOSTILE_CHUNKS), label="chunk") + text[at:]
+    try:
+        parse_spec_text(text)
+    except (SpecFormatError, SpecError, ValueError):
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) in (0, 1, 2)
+    assert main(["member", str(path), vector]) in (0, 1, 2)
 
 
 def test_cli_imports_no_numpy():
@@ -360,6 +425,15 @@ def test_cli_render(box_file, tmp_path, capsys):
     assert main(["render2d", box_file, str(out)]) == 0
     assert out.read_text() == svg1  # byte-identical on identical input
     capsys.readouterr()
+
+
+def test_cli_unwritable_output_exits_2(worked_file, box_file, tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "out"):
+        for argv in (["render2d", box_file, str(target)],
+                     ["complement", worked_file, "-o", str(target)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"cannot write {target}" in captured.err
 
 
 def test_cli_render_rejects_higher_dims(worked_file, tmp_path, capsys):

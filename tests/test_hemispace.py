@@ -11,6 +11,7 @@ from tropconv.hemispace import (
     NotClosedError,
     RankOneError,
     SpecError,
+    Violation,
     affine_complement,
     affine_member,
     complement_spec,
@@ -19,7 +20,7 @@ from tropconv.hemispace import (
     downset_product,
     generator_pair,
     is_closed,
-    overlap_finite_witness,
+    pick_finite_in_interval,
     rank_one_check,
     thin_structure,
     to_halfspace,
@@ -34,6 +35,7 @@ from tropconv.verify import (
     make_grid,
     random_valid_affine,
     random_valid_spec,
+    random_violated_spec,
 )
 
 
@@ -185,13 +187,10 @@ def test_overlap_decision_is_certified():
            for a, b in itertools.product(sets, repeat=2)]
     for d in downs:
         for u in ups:
-            overlap = down_up_overlap(d, u)
-            w = overlap_finite_witness(d, u)
-            if overlap:
-                assert w is not None and w.is_finite
-                assert d.contains(w) and u.contains(w)
+            if down_up_overlap(d, u):
+                w = pick_finite_in_interval(u.threshold, u.strict, d.threshold, not d.closed)
+                assert w.is_finite and d.contains(w) and u.contains(w)
             else:
-                assert w is None
                 for x in _down_samples(d):
                     if x is not None:
                         assert not u.contains(x)
@@ -219,6 +218,61 @@ def test_crossing_products_violate():
     assert (v.i1, v.i2, v.j1, v.j2, v.side) == (1, 2, 3, 4, 1)
     with pytest.raises(RankOneError):
         HemispaceSpec.build(MT, 4, [1, 2], [3, 4], sigma)
+
+
+def _rank_one_check_ordered(spec):
+    """Reference: every ordered quadruple (i1, i2, j1, j2), diagonals
+    included, with both equations tested at each."""
+    I, J = sorted(spec.I), sorted(spec.J)
+    for i1 in I:
+        for i2 in I:
+            for j1 in J:
+                for j2 in J:
+                    up1 = upset_product(
+                        upset_of(spec.entry(i1, j2)), upset_of(spec.entry(i2, j1))
+                    )
+                    down1 = downset_product(spec.entry(i1, j1), spec.entry(i2, j2))
+                    if down_up_overlap(down1, up1):
+                        return Violation(i1, i2, j1, j2, 1, down1, up1)
+                    up2 = upset_product(
+                        upset_of(spec.entry(i1, j1)), upset_of(spec.entry(i2, j2))
+                    )
+                    down2 = downset_product(spec.entry(i1, j2), spec.entry(i2, j1))
+                    if down_up_overlap(down2, up2):
+                        return Violation(i1, i2, j1, j2, 2, down2, up2)
+    return None
+
+
+def _random_raw_spec(rng, model):
+    """A raw spec, n = 2..7, with zero, Top and finite thresholds and both
+    closedness flags drawn independently per entry."""
+    tokens = ["zero", "inf"] + (["1/2", "1", "2"] if model is MT else ["-1", "0", "1"])
+    n = rng.randint(2, 7)
+    while True:
+        I = [k for k in range(1, n + 1) if rng.random() < 0.5]
+        if 0 < len(I) < n:
+            break
+    J = [k for k in range(1, n + 1) if k not in I]
+    sigma = {}
+    for i in I:
+        for j in J:
+            token = rng.choice(tokens)
+            sigma[(i, j)] = bset(token, token == "zero" or rng.random() < 0.5, model)
+    return HemispaceSpec.raw(model, n, I, J, sigma)
+
+
+def test_minor_walk_returns_the_ordered_loops_first_violation():
+    rng = random.Random(5)
+    violated = 0
+    for k in range(10_000):
+        spec = _random_raw_spec(rng, (MT, MP)[k % 2])
+        expected = _rank_one_check_ordered(spec)
+        assert rank_one_check(spec) == expected
+        violated += expected is not None
+    assert 3000 < violated < 7000  # both outcomes well represented
+    for k in range(200):
+        spec, v = random_violated_spec(rng, (MT, MP)[k % 2], rng.randint(4, 7))
+        assert v == _rank_one_check_ordered(spec)
 
 
 def test_single_row_and_column_always_pass():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -184,6 +185,14 @@ def test_violation_witness_requires_a_violation():
     )
     with pytest.raises(ValueError, match="no violation"):
         violation_witness_detail(spec, fake)
+    # The crossing spec fails equation 1 at its only minor, not equation 2:
+    # the witness is built from the violation's own equation alone.
+    raw = HemispaceSpec.raw(MT, 4, [1, 2], [3, 4], {
+        (1, 3): bset("1", True), (1, 4): bset("1", True),
+        (2, 3): bset("1", True), (2, 4): bset("2", True)})
+    assert fake.side == 1
+    with pytest.raises(ValueError, match="no violation at .* equation 2"):
+        violation_witness_detail(raw, dataclasses.replace(fake, side=2))
 
 
 def test_random_violations_mirrored_sides():
@@ -213,9 +222,10 @@ def test_sector_union_and_multiorder_negative_control(monkeypatch):
     # holds no quasisector at a base point of larger support.
     monkeypatch.setattr(verify, "conical_member",
                         lambda s, x: len(support(x)) < 2 and conical_member(s, x))
-    bad = sector_union_check(spec, grid)
-    assert not bad.passed
-    assert bad.counterexample.endswith("no contained sector on its own side")
+    for obj, g in ((spec, grid), (_box(False), make_grid(MT, 2))):
+        bad = sector_union_check(obj, g)
+        assert not bad.passed
+        assert bad.counterexample.endswith("no contained sector on its own side")
     monkeypatch.undo()
 
     # A sector predicate that leaves out the sector's own base point:
