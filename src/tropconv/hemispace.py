@@ -17,6 +17,7 @@ this object denotes.  Each side is the unit section of its own cone
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,7 +33,7 @@ from .semiring import (
     t_max,
     t_mul,
 )
-from .tlinalg import DimensionMismatchError, TVec, support, unit_vector
+from .tlinalg import DimensionMismatchError, TVec, unit_vector
 
 
 class SpecError(ValueError):
@@ -227,10 +228,13 @@ class HemispaceSpec:
 
     Instances from `build` are validated (structure, rank-one) and carry
     their thin structure; `raw` instances exist only as input for
-    `rank_one_check`.  `_complement` memoizes `complement_spec`.
+    `rank_one_check`.  `_complement` memoizes `complement_spec`, and
+    `_kernel` the membership test compiled from the thin structure on
+    the first query.
     """
 
-    __slots__ = ("model", "n", "I", "J", "sigma", "_validated", "_thin", "_complement")
+    __slots__ = ("model", "n", "I", "J", "sigma", "_validated", "_thin", "_complement",
+                 "_kernel")
 
     def __init__(self, model, n, I, J, sigma, _validated, _thin):
         self.model = model
@@ -241,6 +245,7 @@ class HemispaceSpec:
         self._validated = _validated
         self._thin = _thin
         self._complement = None
+        self._kernel = None
 
     @classmethod
     def raw(
@@ -466,17 +471,50 @@ class MembershipTrace:
     reduced: Optional[TVec] = None
 
 
-def conical_member(spec: HemispaceSpec, x: TVec) -> bool:
-    return conical_member_trace(spec, x).member
+@dataclass(frozen=True)
+class _ClassKernel:
+    """The halfspace-with-ownership test of one thin class.
+
+    Positions are 0-based.  Gauge factors are finite payloads: J_r holds
+    no Top or zero column, so beta and gamma are never Bottom or Top.
+    """
+
+    index: int
+    rows: tuple[tuple[int, Fraction], ...]  # (i, beta_i) in I_elems order
+    cols: tuple[tuple[int, Fraction, frozenset[int]], ...]  # (j, gamma_j, owning rows)
+    L: tuple[int, ...]  # zero-threshold columns
+    dropped: frozenset[int]  # K plus the rows of later classes
+    plane: Optional[frozenset[int]]  # allowed support of a coordinate-plane class
 
 
-def conical_member_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
-    """Membership of x in the cone described by the spec, with a trace.
+def _compile_kernel(spec: HemispaceSpec) -> tuple:
+    """(payload product, class kernels) of a validated spec."""
+    ts = spec.thin
+    kernels = []
+    for cls in ts.classes:
+        later = (i for c in ts.classes[cls.index:] for i in c.I_elems)
+        dropped = frozenset(k - 1 for k in (*cls.K, *later))
+        rows = tuple((i - 1, ts.beta[i].payload) for i in cls.I_elems)
+        cols = tuple(
+            (j - 1, ts.gamma[j].payload,
+             frozenset(k - 1 for k in cls.I_elems if j in ts.J_le[k]))
+            for j in cls.J_elems
+        )
+        plane = None if cls.J_elems else dropped | {i for i, _ in rows}
+        kernels.append(_ClassKernel(cls.index, rows, cols, tuple(j - 1 for j in sorted(cls.L)),
+                                    dropped, plane))
+    mul = operator.add if spec.model is Model.MAX_PLUS else operator.mul
+    return mul, tuple(kernels)
+
+
+def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKernel]]:
+    """(member, reason, leading class) of x in the cone described by the spec.
 
     The point is reduced to its leading class: coordinates of later
     classes and of the Top columns of the leading class are irrelevant
-    (they ride along the class generators), so they are zeroed before
-    the per-class halfspace-with-ownership test runs.
+    (they ride along the class generators), so the per-class
+    halfspace-with-ownership test never reads them.  Bottom coordinates
+    carry no payload, so the test runs on payloads with None for Bottom.
     """
     if not spec.validated:
         raise SpecError("membership requires a validated spec")
@@ -484,53 +522,55 @@ def conical_member_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
         raise SpecError("point and spec use different models")
     if x.dim != spec.n:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {spec.n}")
-    if x.is_zero():
-        return MembershipTrace(True, "zero vector")
-    ts = spec.thin
-    lead = None
-    for cls in ts.classes:
-        if any(not x.at(i).is_bottom for i in cls.I_elems):
-            lead = cls
+    if spec._kernel is None:
+        spec._kernel = _compile_kernel(spec)
+    mul, kernels = spec._kernel
+    p = [c.payload for c in x.coords]
+    for lead in kernels:
+        if any(p[i] is not None for i, _ in lead.rows):
             break
-    if lead is None:
-        return MembershipTrace(False, "nonzero point with no support on I")
+    else:
+        if any(q is not None for q in p):
+            return False, "nonzero point with no support on I", None
+        return True, "zero vector", None
 
-    dropped = set(lead.K).union(*(cls.I_elems for cls in ts.classes[lead.index:]))
-    reduced = x
-    if any(not x.at(k).is_bottom for k in dropped):
-        bot = TScalar.bottom(spec.model)
-        reduced = TVec(spec.model, tuple(
-            bot if k in dropped else c for k, c in enumerate(x.coords, start=1)
-        ))
-
-    if not lead.J_elems:
-        ok = support(reduced) <= set(lead.I_elems)
-        reason = "coordinate-plane class" if ok else "support outside the plane class"
-        return MembershipTrace(ok, reason, lead.index, reduced)
-
-    if any(not reduced.at(j).is_bottom for j in sorted(lead.L)):
-        return MembershipTrace(
-            False, "support on a zero-threshold column", lead.index, reduced
-        )
-    row = {i: t_mul(ts.beta[i], reduced.at(i)) for i in lead.I_elems}
-    col = {j: t_mul(ts.gamma[j], reduced.at(j)) for j in lead.J_elems}
-    rhs = t_max(row.values(), spec.model)
-    if rhs < t_max(col.values(), spec.model):
-        return MembershipTrace(False, "dominated: max gamma_j x_j > max beta_i x_i",
-                               lead.index, reduced)
+    if lead.plane is not None:
+        if all(q is None or k in lead.plane for k, q in enumerate(p)):
+            return True, "coordinate-plane class", lead
+        return False, "support outside the plane class", lead
+    if any(p[j] is not None for j in lead.L):
+        return False, "support on a zero-threshold column", lead
+    row = [(i, mul(b, p[i])) for i, b in lead.rows if p[i] is not None]
+    rhs = max(r for _, r in row)
+    col = [(j, mul(g, p[j]), owners) for j, g, owners in lead.cols if p[j] is not None]
+    if any(c > rhs for _, c, _ in col):
+        return False, "dominated: max gamma_j x_j > max beta_i x_i", lead
     # Now every column product is at most rhs; one that reaches it sits
     # on the boundary and needs an owning row that attains rhs too.
-    for j in lead.J_elems:
-        if col[j] == rhs and not any(
-            row[k] == rhs and j in ts.J_le[k] for k in lead.I_elems
-        ):
-            return MembershipTrace(
-                False,
-                f"boundary attained at column {j} is owned by the complement",
-                lead.index,
-                reduced,
-            )
-    return MembershipTrace(True, "inside the class halfspace", lead.index, reduced)
+    top = {i for i, r in row if r == rhs}
+    for j, c, owners in col:
+        if c == rhs and owners.isdisjoint(top):
+            return False, f"boundary attained at column {j + 1} is owned by the complement", lead
+    return True, "inside the class halfspace", lead
+
+
+def conical_member(spec: HemispaceSpec, x: TVec) -> bool:
+    return _decide(spec, x)[0]
+
+
+def conical_member_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
+    """Membership of x in the cone described by the spec, with a trace;
+    the reduced point zeroes the coordinates the leading class drops."""
+    member, reason, lead = _decide(spec, x)
+    if lead is None:
+        return MembershipTrace(member, reason)
+    reduced = x
+    if any(not x.coords[k].is_bottom for k in lead.dropped):
+        bot = TScalar.bottom(spec.model)
+        reduced = TVec(spec.model, tuple(
+            bot if k in lead.dropped else c for k, c in enumerate(x.coords)
+        ))
+    return MembershipTrace(member, reason, lead.index, reduced)
 
 
 def complement_spec(spec: HemispaceSpec) -> HemispaceSpec:
@@ -691,14 +731,18 @@ def member_trace(obj: SpecLike, x: TVec) -> MembershipTrace:
     """
     if isinstance(obj, HemispaceSpec):
         return conical_member_trace(obj, x)
-    if x.dim != obj.ambient_dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {obj.ambient_dim}")
-    return conical_member_trace(obj.cone, x.append(TScalar.unit(obj.base.model)))
+    return conical_member_trace(obj.cone, _lift(obj, x))
 
 
 def affine_member(h: AffineHemispace, x: TVec) -> bool:
     """Membership via the lifted point (x, 1) in the side's cone."""
-    return member_trace(h, x).member
+    return conical_member(h.cone, _lift(h, x))
+
+
+def _lift(h: AffineHemispace, x: TVec) -> TVec:
+    if x.dim != h.ambient_dim:
+        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {h.ambient_dim}")
+    return x.append(TScalar.unit(h.base.model))
 
 
 def affine_complement(h: AffineHemispace) -> AffineHemispace:

@@ -181,11 +181,25 @@ def t_max(values, model: Model) -> TScalar:
 # has no finite zero payload); negative numerics are rejected there.
 
 
+MAX_TOKEN_CHARS = 100  # longest numeric token read, and longest quoted whole
+
+
+def quote_token(token: str) -> str:
+    """The token's repr, cut to a short prefix plus its length when long."""
+    if len(token) <= MAX_TOKEN_CHARS:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def parse_fraction(token: str) -> Fraction:
     """An exact rational token.  The exponent form is refused, since
-    `Fraction("1e999999999")` would build a billion-digit integer."""
+    `Fraction("1e999999999")` would build a billion-digit integer, and
+    so is a token over MAX_TOKEN_CHARS, since `p/q` with thousands of
+    digits on each side would slow every later operation on it."""
     if "e" in token.lower():
         raise ValueError("exponent form is not accepted")
+    if len(token) > MAX_TOKEN_CHARS:
+        raise ValueError(f"numeric tokens are limited to {MAX_TOKEN_CHARS} characters")
     return Fraction(token)
 
 
@@ -198,12 +212,12 @@ def parse_scalar(token: str, model: Model) -> TScalar:
     try:
         q = parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad scalar token {token!r}: {exc}") from None
+        raise ValueError(f"bad scalar token {quote_token(token)}: {exc}") from None
     if model is Model.MAX_TIMES:
         if q == 0:
             return TScalar.bottom(model)
         if q < 0:
-            raise ValueError(f"negative scalar {token!r} is not a max-times value")
+            raise ValueError(f"negative scalar {quote_token(token)} is not a max-times value")
     return TScalar(model, _FIN, q)
 
 

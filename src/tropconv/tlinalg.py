@@ -20,6 +20,7 @@ from .semiring import (
     TScalar,
     format_scalar_compact,
     parse_scalar,
+    quote_token,
     t_add,
     t_div,
     t_inv,
@@ -116,7 +117,7 @@ def parse_vector(text: str, model: Model) -> TVec:
     """Parse a literal like "[2, 0, 1]" using the scalar token rules."""
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"vector literal must be bracketed: {text!r}")
+        raise ValueError(f"vector literal must be bracketed: {quote_token(text)}")
     inner = body[1:-1].strip()
     if not inner:
         raise ValueError("empty vector literal")

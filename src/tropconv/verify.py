@@ -35,7 +35,6 @@ from .hemispace import (
     down_up_overlap,
     downset_product,
     generator_pair,
-    member_trace,
     other_side,
     pick_finite_in_interval,
     rank_one_check,
@@ -369,13 +368,14 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     n = obj.ambient_dim if affine else obj.n
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match {n}")
+    side_member = affine_member if affine else conical_member
     one = TScalar.unit(grid.model)
     found: tuple[set, set] = (set(), set())
     cases = 0
     for x in grid.points():
         if x.is_zero() and not affine:
             continue
-        which = 0 if member_trace(sides[0], x).member else 1
+        which = 0 if side_member(sides[0], x) else 1
         y = x.append(one) if affine else x
         hit = None
         for i in sorted(support(y)):
@@ -580,8 +580,9 @@ def run_properties(
     affine = isinstance(obj, AffineHemispace)
     scalars = closure_scalars(grid.model)
     first, second = obj, other_side(obj)
-    side1: MemberFn = lambda x: member_trace(first, x).member
-    side2: MemberFn = lambda x: member_trace(second, x).member
+    member = affine_member if affine else conical_member
+    side1: MemberFn = lambda x: member(first, x)
+    side2: MemberFn = lambda x: member(second, x)
     catalogue = {
         "partition": lambda: (
             affine_partition_check(obj, grid) if affine else partition_check(obj, grid)

@@ -290,6 +290,28 @@ def test_cli_exponent_tokens_exit_2_promptly(worked_file, box_file, tmp_path, ca
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("token", ["9" * 5000, "7" * 4000 + "/" + "3" * 4000],
+                         ids=["long-integer", "long-ratio"])
+def test_cli_long_numeric_tokens_exit_2_with_a_short_message(
+        worked_file, box_file, tmp_path, capsys, token):
+    # Unbounded, the 5,000-digit integer fails at the interpreter's digit
+    # limit with the whole token quoted, and the ratio is read in full.
+    path = tmp_path / "long.json"
+    path.write_text(WORKED.replace('"threshold": "1"', f'"threshold": "{token}"', 1))
+    for argv, text in (
+        (["check", str(path)], "bad scalar token"),
+        (["member", str(path), "[1,0,1,0]"], "bad scalar token"),
+        (["member", worked_file, f"[{token},0,0,0]"], "bad scalar token"),
+        (["verify", worked_file, "--grid", f"zero,{token}"], "bad scalar token"),
+        (["render2d", box_file, str(tmp_path / "out.svg"), "--window", f"{token},4"],
+         "limited to 100 characters"),
+    ):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and text in captured.err, argv[0]
+        assert len(captured.err.encode()) < 300, (argv[0], captured.err)
+
+
 def test_cli_member(worked_file, capsys):
     assert main(["member", worked_file, "[2,0,1,0]"]) == 0
     assert capsys.readouterr().out.strip() == "IN"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropconv.semiring import (
+    MAX_TOKEN_CHARS,
     Model,
     ModelMismatchError,
     TScalar,
@@ -134,6 +135,20 @@ def test_parse_and_format_round_trip():
         parse_scalar("nonsense", MT)
     with pytest.raises(ValueError):
         parse_scalar("1/0", MT)
+
+
+def test_numeric_tokens_are_bounded_and_quoted_short():
+    edge = "1/" + "7" * (MAX_TOKEN_CHARS - 2)
+    assert parse_scalar(edge, MT).payload == Fraction(1, int(edge[2:]))
+    with pytest.raises(ValueError) as info:
+        parse_scalar(edge + "7", MT)
+    assert str(info.value) == (
+        f"bad scalar token '1/777777777777777777'... ({MAX_TOKEN_CHARS + 1} characters): "
+        f"numeric tokens are limited to {MAX_TOKEN_CHARS} characters"
+    )
+    with pytest.raises(ValueError) as info:
+        parse_scalar("x" * MAX_TOKEN_CHARS, MT)
+    assert str(info.value).startswith("bad scalar token '" + "x" * MAX_TOKEN_CHARS + "': ")
 
 
 def test_total_order():
