@@ -33,7 +33,7 @@ from .sectors import (
     sector_pr,
     semispace_contains,
 )
-from .semiring import Model, format_scalar_compact, parse_fraction, parse_scalar
+from .semiring import Model, format_scalar_compact, parse_fraction, parse_scalar, quote_token
 from .specio import (
     SpecFormatError,
     canonical_text,
@@ -185,7 +185,7 @@ def _parse_sector(args, model: Model) -> SectorId:
     try:
         idx = int(token)
     except ValueError:
-        raise CliError(f"bad type index {token!r}")
+        raise CliError(f"bad type index {quote_token(token)}")
     try:
         return SectorId.of_support(y, idx)
     except ValueError as exc:

@@ -4,9 +4,10 @@ A conical hemispace is described by a proper bipartition I + J of the
 coordinates and, for every (i in I, j in J), a boundary down-set saying
 which scalings lambda make e_i + lambda*e_j a generator.  The spec is
 valid exactly when the matrix of boundary sets passes the rank-one
-disjointness test; validation derives the thin structure (row
-partitions, ordered classes, gauge factors) that drives exact
-membership, complements and halfspace conversion.
+disjointness test.  Validation decides that from the thin structure
+(row partitions, ordered classes, gauge factors) that also drives exact
+membership, complements and halfspace conversion; the 2x2 minors are
+walked only to name the violation of a rejected spec.
 
 Affine hemispaces are handled through the same machinery one dimension
 up: the base spec lives over n+1 coordinates with the extra index on
@@ -226,24 +227,22 @@ class RankOneError(SpecError):
 class HemispaceSpec:
     """(model, n, I, J, sigma) description of a conical hemispace.
 
-    Instances from `build` are validated (structure, rank-one) and carry
-    their thin structure; `raw` instances exist only as input for
-    `rank_one_check`.  `_complement` memoizes `complement_spec`, and
-    `_kernel` the membership test compiled from the thin structure on
-    the first query.
+    Instances from `build` are validated and carry their thin structure,
+    whose derivation is the validation; `raw` instances have none and
+    exist only as input for `rank_one_check` and `thin_structure`.
+    `_complement` memoizes `complement_spec`, and `_kernel` the
+    membership test compiled from the thin structure on the first query.
     """
 
-    __slots__ = ("model", "n", "I", "J", "sigma", "_validated", "_thin", "_complement",
-                 "_kernel")
+    __slots__ = ("model", "n", "I", "J", "sigma", "_thin", "_complement", "_kernel")
 
-    def __init__(self, model, n, I, J, sigma, _validated, _thin):
+    def __init__(self, model, n, I, J, sigma):
         self.model = model
         self.n = n
         self.I = I
         self.J = J
         self.sigma = sigma
-        self._validated = _validated
-        self._thin = _thin
+        self._thin = None
         self._complement = None
         self._kernel = None
 
@@ -278,25 +277,27 @@ class HemispaceSpec:
             if b.threshold.model is not model:
                 raise SpecError(f"entry at {key} uses the wrong model")
             table[key] = BoundarySet.make(b.threshold, b.closed)
-        return cls(model, n, I, J, table, False, None)
+        return cls(model, n, I, J, table)
 
     @classmethod
     def build(cls, model, n, I, J, sigma) -> "HemispaceSpec":
         spec = cls.raw(model, n, I, J, sigma)
-        v = rank_one_check(spec)
-        if v is not None:
-            raise RankOneError(v)
-        validated = cls(spec.model, spec.n, spec.I, spec.J, spec.sigma, True, None)
-        validated._thin = thin_structure(validated)
-        return validated
+        try:
+            spec._thin = thin_structure(spec)
+        except InternalInconsistencyError:
+            v = rank_one_check(spec)
+            if v is None:  # the laws and the walk disagree: a bug
+                raise
+            raise RankOneError(v) from None
+        return spec
 
     @property
     def validated(self) -> bool:
-        return self._validated
+        return self._thin is not None
 
     @property
     def thin(self) -> "ThinStructure":
-        if not self._validated:
+        if self._thin is None:
             raise SpecError("thin structure requires a validated spec")
         return self._thin
 
@@ -372,11 +373,12 @@ class ThinStructure:
 
 
 def thin_structure(spec: HemispaceSpec) -> ThinStructure:
-    """Row partitions, ordered classes and gauge factors of a valid spec.
+    """Row partitions, ordered classes and gauge factors of a raw spec.
 
-    Raises InternalInconsistencyError when a law that rank-one validity
-    guarantees fails to hold; that never happens for specs accepted by
-    `rank_one_check` unless there is a bug.
+    The laws (nested strict parts, gauge factorisation, descending
+    chain) hold exactly when `rank_one_check` finds no violation, so
+    they decide validity.  A failed law raises InternalInconsistencyError,
+    which `build` turns into RankOneError.
     """
     model = spec.model
     J_lt: dict[int, frozenset] = {}
@@ -402,21 +404,17 @@ def thin_structure(spec: HemispaceSpec) -> ThinStructure:
     for i in sorted(spec.I):
         groups.setdefault((J_inf[i], J_zero[i]), []).append(i)
 
-    # Classes descend strictly in K, then ascend strictly in L.  That
-    # relation is transitive, so checking neighbours proves it total.
+    # Valid classes descend strictly in K, then ascend strictly in L, so
+    # sorting by size finds their order.  The chain law below proves it:
+    # each K lies in the one before, and a class repeating that K has no
+    # finite columns, so its L is all of J - K.
     ordered = sorted(groups.items(), key=lambda kv: (-len(kv[0][0]), len(kv[0][1])))
-    for ((Ka, La), _), ((Kb, Lb), _) in zip(ordered, ordered[1:]):
-        if not (Kb < Ka or (Ka == Kb and La < Lb)):
-            raise InternalInconsistencyError("incomparable classes in a validated spec")
 
     classes = []
     beta: dict[int, TScalar] = {}
     gamma: dict[int, TScalar] = {}
     for idx, ((K, L), members) in enumerate(ordered, start=1):
         J_r = frozenset(spec.J) - K - L
-        for i in members:
-            if J_lt[i] | J_le[i] != J_r:
-                raise InternalInconsistencyError("row partition disagrees with its class")
         # Nestedness of the strict parts within the class.
         chain = sorted((J_lt[i] for i in members), key=len)
         for small, big in zip(chain, chain[1:]):
@@ -446,12 +444,8 @@ def thin_structure(spec: HemispaceSpec) -> ThinStructure:
             for i in members:
                 beta[i] = TScalar.unit(model)
 
-    # Disjointness of the finite column sets and the K-chain law.
-    seen: set[int] = set()
-    for cls in classes:
-        if seen & set(cls.J_elems):
-            raise InternalInconsistencyError("finite column sets of two classes overlap")
-        seen |= set(cls.J_elems)
+    # The K-chain law.  It also makes the finite column sets disjoint:
+    # a later class's finite columns lie in an earlier K.
     for prev, cur in zip(classes, classes[1:]):
         if not (set(cur.J_elems) | cur.K) <= prev.K:
             raise InternalInconsistencyError("descending chain law failed between classes")

@@ -39,7 +39,7 @@ class Model(enum.Enum):
         for m in cls:
             if m.value == text:
                 return m
-        raise ValueError(f"unknown model {text!r} (expected 'max-plus' or 'max-times')")
+        raise ValueError(f"unknown model {quote_token(text)} (expected 'max-plus' or 'max-times')")
 
 
 class ModelMismatchError(ValueError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .semiring import InternalInconsistencyError, Model, TScalar, t_inv, t_mul
+from .semiring import InternalInconsistencyError, Model, TScalar, quote_token, t_inv, t_mul
 from .hemispace import (
     AffineHemispace,
     BoundarySet,
@@ -450,8 +450,10 @@ def random_valid_spec(
 
     The generator draws the ordered class layout (finite / Top / zero
     column sets obeying the descending chain law), nested strict parts
-    and random gauge factors, then runs the independent rank-one checker
-    on the result; a failure there would expose a bug in one of the two.
+    and random gauge factors, then builds it.  `build` re-derives the
+    structure from the raw entries and walks the minors only if a law
+    fails, so a valid draw never reaches `rank_one_check`; a failure
+    would expose a bug in the generator or in the laws.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -607,7 +609,7 @@ def run_properties(
     if which != "all":
         if which not in catalogue:
             raise ValueError(
-                f"unknown property {which!r}; choose from {sorted(catalogue)} or 'all'"
+                f"unknown property {quote_token(which)}; choose from {sorted(catalogue)} or 'all'"
             )
         return [catalogue[which]()]
     return [catalogue[name]() for name in sorted(catalogue)]

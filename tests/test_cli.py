@@ -267,6 +267,25 @@ def test_cli_unknown_model_exits_2(tmp_path, capsys):
     assert "unknown model 'foo'" in capsys.readouterr().err
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check", "{long_model}"], "unknown model 'xxxx"),
+    (["--model", LONG, "sectors", "gens", "--base", "[1,1]", "--type", "1"], "unknown model"),
+    (["sectors", "gens", "--base", "[1,1]", "--type", LONG], "bad type index"),
+    (["verify", "{worked}", "--property", LONG], "unknown property"),
+], ids=["spec-model", "global-model", "sector-type", "verify-property"])
+def test_cli_long_user_strings_are_quoted_short(worked_file, tmp_path, capsys, argv, text):
+    path = tmp_path / "long-model.json"
+    path.write_text(WORKED.replace('"max-times"', f'"{LONG}"'))
+    argv = [a.format(long_model=path, worked=worked_file) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and text in captured.err
+    assert "(5000 characters)" in captured.err and len(captured.err.encode()) < 300
+
+
 def test_cli_affine_flag_must_be_a_boolean(tmp_path, capsys):
     path = tmp_path / "string-flag.json"
     path.write_text(SECTOR_BOX.replace('"affine": true', '"affine": "false"'))

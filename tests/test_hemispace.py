@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import MP, MT, bset, sc, vec
+from tropconv import hemispace
 from tropconv.hemispace import (
     AffineHemispace,
     BoundarySet,
@@ -31,6 +33,7 @@ from tropconv.hemispace import (
 from tropconv.semiring import InternalInconsistencyError, TScalar, t_mul
 from tropconv.tlinalg import TVec, support
 from tropconv.verify import (
+    closure_scalars,
     grid_for_spec,
     make_grid,
     random_valid_affine,
@@ -243,11 +246,14 @@ def _rank_one_check_ordered(spec):
     return None
 
 
-def _random_raw_spec(rng, model):
-    """A raw spec, n = 2..7, with zero, Top and finite thresholds and both
-    closedness flags drawn independently per entry."""
-    tokens = ["zero", "inf"] + (["1/2", "1", "2"] if model is MT else ["-1", "0", "1"])
-    n = rng.randint(2, 7)
+_TOKENS = {MT: ["zero", "inf", "1/2", "1", "2"], MP: ["zero", "inf", "-1", "0", "1"]}
+
+
+def _random_raw_spec(rng, model, n=None):
+    """A raw spec, n = 2..7 unless given, with zero, Top and finite
+    thresholds and both closedness flags drawn independently per entry."""
+    tokens = _TOKENS[model]
+    n = n or rng.randint(2, 7)
     while True:
         I = [k for k in range(1, n + 1) if rng.random() < 0.5]
         if 0 < len(I) < n:
@@ -273,6 +279,113 @@ def test_minor_walk_returns_the_ordered_loops_first_violation():
     for k in range(200):
         spec, v = random_violated_spec(rng, (MT, MP)[k % 2], rng.randint(4, 7))
         assert v == _rank_one_check_ordered(spec)
+
+
+def _build(raw):
+    return HemispaceSpec.build(raw.model, raw.n, raw.I, raw.J, raw.sigma)
+
+
+def _mutate_one_entry(rng, spec):
+    """The raw spec with one entry changed: its closedness flipped, or its
+    threshold swapped for one of zero, Top or a finite grid value."""
+    key = rng.choice(sorted(spec.sigma))
+    b = spec.sigma[key]
+    if b.threshold.is_bottom or rng.random() < 0.5:
+        thr = rng.choice([TScalar.bottom(spec.model), TScalar.top(spec.model),
+                          *closure_scalars(spec.model)])
+        b = BoundarySet.make(thr, thr.is_bottom or rng.random() < 0.5)
+    else:
+        b = BoundarySet.make(b.threshold, not b.closed)
+    return HemispaceSpec.raw(spec.model, spec.n, spec.I, spec.J, {**spec.sigma, key: b})
+
+
+def test_build_decides_exactly_as_the_minor_walk(monkeypatch):
+    walks = []
+    monkeypatch.setattr(hemispace, "rank_one_check",
+                        lambda spec: walks.append(spec) or rank_one_check(spec))
+    rng = random.Random(7)
+    outcomes = []
+
+    def agree(raw):
+        expected = rank_one_check(raw)
+        walks.clear()
+        try:
+            spec = _build(raw)
+        except RankOneError as exc:
+            assert exc.violation == expected is not None
+            assert len(walks) == 1
+        else:
+            assert expected is None and spec.validated
+            assert not walks  # a spec whose laws hold never reaches the walk
+        outcomes.append(expected is None)
+
+    for k in range(20_000):
+        model, n, kind = (MT, MP)[k % 2], 2 + k // 2 % 7, k % 10
+        if kind < 4:
+            agree(_random_raw_spec(rng, model, n))
+        elif kind < 8:
+            walks.clear()
+            valid = random_valid_spec(rng, model, n)
+            assert not walks
+            agree(valid if kind < 6 else _mutate_one_entry(rng, valid))
+        else:
+            agree(random_violated_spec(rng, model, max(n, 4))[0])
+    valid = sum(outcomes)
+    assert 0.2 * len(outcomes) <= valid <= 0.8 * len(outcomes), valid
+
+
+# Top column sets {3, 4} and {5}: neither contains the other
+TOP_COLUMNS = {
+    (1, 3): bset("inf", False), (1, 4): bset("inf", False), (1, 5): bset("zero", True),
+    (2, 3): bset("zero", True), (2, 4): bset("zero", True), (2, 5): bset("inf", False),
+}
+
+
+def _single_class(closed, thresholds):
+    """I = {1, 2}, J = {3, 4}, entries (1,3), (1,4), (2,3), (2,4) in order."""
+    keys = [(1, 3), (1, 4), (2, 3), (2, 4)]
+    return {k: bset(t, c) for k, c, t in zip(keys, closed, thresholds)}
+
+
+@pytest.mark.parametrize("sigma, law", [
+    # strict parts {4} and {3} of one class, neither inside the other
+    (_single_class([True, False, False, True], "1111"), "strict column sets are not nested"),
+    # one class, all closed, with no beta_i / gamma_j factorisation
+    (_single_class([True] * 4, "1112"), "gauge factorisation failed"),
+    (TOP_COLUMNS, "descending chain law failed"),
+], ids=["nestedness", "gauge", "chain"])
+def test_each_kept_law_rejects_its_negative_control(sigma, law):
+    n = max(j for _, j in sigma)
+    raw = HemispaceSpec.raw(MT, n, [1, 2], range(3, n + 1), sigma)
+    with pytest.raises(InternalInconsistencyError, match=law):
+        thin_structure(raw)
+    v = rank_one_check(raw)
+    assert v is not None
+    with pytest.raises(RankOneError) as info:
+        _build(raw)
+    assert info.value.violation == v
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_build_agrees_with_the_minor_walk_on_drawn_specs(data):
+    model = data.draw(st.sampled_from([MT, MP]), label="model")
+    n = data.draw(st.integers(2, 6), label="n")
+    I = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="I")
+    J = [j for j in range(1, n + 1) if j not in I]
+    sigma = {}
+    for i in sorted(I):
+        for j in J:
+            token = data.draw(st.sampled_from(_TOKENS[model]), label=f"t{i},{j}")
+            closed = token == "zero" or data.draw(st.booleans(), label=f"c{i},{j}")
+            sigma[(i, j)] = bset(token, closed, model)
+    expected = rank_one_check(HemispaceSpec.raw(model, n, I, J, sigma))
+    try:
+        HemispaceSpec.build(model, n, I, J, sigma)
+    except RankOneError as exc:
+        assert exc.violation == expected is not None
+    else:
+        assert expected is None
 
 
 def test_single_row_and_column_always_pass():
@@ -341,9 +454,7 @@ def test_thin_structure_coordinate_plane():
 
 
 @pytest.mark.parametrize("sigma", [
-    # Top column sets {3, 4} and {5}: neither contains the other
-    {(1, 3): bset("inf", False), (1, 4): bset("inf", False), (1, 5): bset("zero", True),
-     (2, 3): bset("zero", True), (2, 4): bset("zero", True), (2, 5): bset("inf", False)},
+    TOP_COLUMNS,
     # equal Top column sets, zero column sets {3} and {4}
     {(1, 3): bset("zero", True), (1, 4): bset("1", True),
      (2, 3): bset("1", True), (2, 4): bset("zero", True)},
@@ -352,7 +463,7 @@ def test_thin_structure_rejects_incomparable_classes(sigma):
     n = max(j for _, j in sigma)
     raw = HemispaceSpec.raw(MT, n, [1, 2], range(3, n + 1), sigma)
     assert rank_one_check(raw) is not None
-    with pytest.raises(InternalInconsistencyError, match="incomparable classes"):
+    with pytest.raises(InternalInconsistencyError, match="descending chain law failed"):
         thin_structure(raw)
 
 
