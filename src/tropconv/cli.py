@@ -33,7 +33,14 @@ from .sectors import (
     sector_pr,
     semispace_contains,
 )
-from .semiring import Model, format_scalar_compact, parse_fraction, parse_scalar, quote_token
+from .semiring import (
+    MAX_TOKEN_CHARS,
+    Model,
+    format_scalar_compact,
+    parse_fraction,
+    parse_scalar,
+    quote_token,
+)
 from .specio import (
     SpecFormatError,
     canonical_text,
@@ -257,6 +264,24 @@ def cmd_verify(args) -> int:
     return OK if not failed else SEMANTIC_FAIL
 
 
+def bounded_int(lo: int | None = None, hi: int | None = None):
+    """An argparse type: an integer token of at most MAX_TOKEN_CHARS
+    characters, within lo..hi where given; errors quote the token short."""
+
+    def parse(token: str) -> int:
+        if len(token) > MAX_TOKEN_CHARS:
+            raise argparse.ArgumentTypeError(f"{quote_token(token)} is too long")
+        try:
+            value = int(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {quote_token(token)}") from None
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{quote_token(token)} is outside {lo}..{hi}")
+        return value
+
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -296,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("output")
     p.add_argument("--window", default="4,4", help="world window as X,Y (default 4,4)")
-    p.add_argument("--resolution", type=int, default=64, help="pixels per unit")
+    p.add_argument("--resolution", type=bounded_int(16, 10_000), default=64,
+                   help="pixels per unit, 16..10000")
     p.add_argument("--no-complement", action="store_true")
     p.add_argument("--no-ownership", action="store_true")
     p.set_defaults(fn=cmd_render2d)
@@ -315,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--grid", default=None,
                    help='comma-separated grid values, e.g. "zero,1/2,1,2,4"')
-    p.add_argument("--samples", type=int, default=200,
-                   help="sample count for pair-based checks")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p.add_argument("--samples", type=bounded_int(1, 100_000), default=200,
+                   help="sample count for pair-based checks, 1..100000")
+    p.add_argument("--seed", type=bounded_int(), default=0, help="seed for sampled checks")
     p.add_argument("--property", default="all")
     p.set_defaults(fn=cmd_verify)
     return parser

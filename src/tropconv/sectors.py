@@ -106,19 +106,20 @@ def semispace_contains(s: SectorId, x: TVec) -> bool:
     return not sector_contains(s, x)
 
 
+def quasisector_gen(y: TVec, i: int, j: int) -> TVec:
+    """The generator e_i + (y_j / y_i) e_j of the type-i quasisector at y;
+    it depends on y only through y_i and y_j."""
+    coords = list(unit_vector(y.model, i, y.dim).coords)
+    coords[j - 1] = t_add(coords[j - 1], t_div(y.at(j), y.at(i)))  # touches coordinate j only
+    return TVec(y.model, tuple(coords))
+
+
 def quasisector_gens(s: SectorId) -> ConeGen:
     """Finite generators e_i + (y_j / y_i) e_j for j in supp(y)."""
     if s.is_affine_type:
         raise InvalidSectorError("quasisectors have no (n+1) type")
-    y, i, n = s.base, s.type_index, s.base.dim
-    model = y.model
-    ei = unit_vector(model, i, n).coords
-    gens = set()
-    for j in support(y):
-        coords = list(ei)  # e_i + lam*e_j touches coordinate j only
-        coords[j - 1] = t_add(coords[j - 1], t_div(y.at(j), y.at(i)))
-        gens.add(TVec(model, tuple(coords)))
-    return ConeGen.of(model, n, gens)
+    y, i = s.base, s.type_index
+    return ConeGen.of(y.model, y.dim, {quasisector_gen(y, i, j) for j in support(y)})
 
 
 def sector_pr(s: SectorId) -> PRDecomposition:

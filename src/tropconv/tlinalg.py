@@ -8,6 +8,13 @@ test against the finite generators of that cone.
 
 Indices are 1-based throughout the public API, matching the notation of
 the file formats and the CLI.
+
+Vector coordinates are validated where they enter: `TVec(...)`,
+`TVec.of` and `parse_vector` check every coordinate's model and refuse
+Top.  Operations on vectors that are already valid check only what is
+new -- the scaling factor of `scale`, the appended value of `append`,
+the other operand's model and dimension in `join` -- and compute on
+payloads, building their result through `_trusted_vec`.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from typing import Iterable
 
 from .semiring import (
     Model,
+    ModelMismatchError,
     TScalar,
     format_scalar_compact,
     parse_scalar,
     quote_token,
-    t_add,
     t_div,
     t_inv,
     t_mul,
@@ -41,10 +48,7 @@ class TVec:
 
     def __post_init__(self):
         for c in self.coords:
-            if c.model is not self.model:
-                raise ValueError("vector coordinates must share the vector's model")
-            if c.is_top:
-                raise ValueError("Top is not a vector coordinate")
+            _check_coord(self.model, c)
 
     @staticmethod
     def of(model: Model, values: Iterable) -> "TVec":
@@ -60,7 +64,7 @@ class TVec:
 
     @staticmethod
     def zero(model: Model, n: int) -> "TVec":
-        return TVec(model, tuple(TScalar.bottom(model) for _ in range(n)))
+        return _trusted_vec(model, (TScalar.bottom(model),) * n)
 
     @property
     def dim(self) -> int:
@@ -76,25 +80,58 @@ class TVec:
         return all(c.is_bottom for c in self.coords)
 
     def join(self, other: "TVec") -> "TVec":
+        """Coordinatewise tropical sum: the larger coordinate by `_key`."""
         _same_space(self, other)
-        return TVec(self.model, tuple(t_add(a, b) for a, b in zip(self.coords, other.coords)))
+        return _trusted_vec(self.model, tuple(
+            b if a._key() <= b._key() else a for a, b in zip(self.coords, other.coords)))
 
     def scale(self, lam: TScalar) -> "TVec":
+        """lam times each coordinate: Bottom stays Bottom, and a finite
+        payload gains lam's payload (max-plus) or is multiplied by it.
+        The unit leaves the vector as it is."""
         if lam.is_top:
             raise ValueError("Top is not a vector scaling factor")
-        return TVec(self.model, tuple(t_mul(lam, c) for c in self.coords))
+        model = self.model
+        if lam.model is not model:
+            raise ModelMismatchError(f"cannot combine {lam.model.value} with {model.value}")
+        if lam.is_bottom:
+            return TVec.zero(model, self.dim)
+        p, plus = lam.payload, model is Model.MAX_PLUS
+        if p == (0 if plus else 1):
+            return self
+        return _trusted_vec(model, tuple(
+            c if c.is_bottom else TScalar(model, c.kind, c.payload + p if plus else c.payload * p)
+            for c in self.coords))
 
     def append(self, value: TScalar) -> "TVec":
-        return TVec(self.model, self.coords + (value,))
+        _check_coord(self.model, value)
+        return _trusted_vec(self.model, self.coords + (value,))
 
     def drop_last(self) -> "TVec":
-        return TVec(self.model, self.coords[:-1])
+        return _trusted_vec(self.model, self.coords[:-1])
 
     def sort_key(self):
         return tuple(c._key() for c in self.coords)
 
     def __str__(self) -> str:
         return "[" + ", ".join(format_scalar_compact(c) for c in self.coords) + "]"
+
+
+def _check_coord(model: Model, c: TScalar) -> None:
+    if c.model is not model:
+        raise ValueError("vector coordinates must share the vector's model")
+    if c.is_top:
+        raise ValueError("Top is not a vector coordinate")
+
+
+def _trusted_vec(model: Model, coords: tuple[TScalar, ...]) -> TVec:
+    """A vector from coordinates already known to be valid for `model`;
+    skips the per-coordinate checks of `TVec.__post_init__`."""
+    v = object.__new__(TVec)
+    fields = v.__dict__  # written directly: the dataclass is frozen
+    fields["model"] = model
+    fields["coords"] = coords
+    return v
 
 
 def _coerce(model: Model, v) -> TScalar:

@@ -46,13 +46,14 @@ from .hemispace import (
 from .sectors import (
     SectorId,
     assemble_from_witnesses,
-    quasisector_gens,
+    quasisector_gen,
     sector_contains,
 )
 from .tlinalg import (
     ConeGen,
     PRDecomposition,
     TVec,
+    _trusted_vec,
     cone_member_fg,
     pr_member,
     segment_points,
@@ -85,7 +86,8 @@ class GridSpec:
         return len(self.values) ** self.n
 
     def point(self, idx: Sequence[int]) -> TVec:
-        return TVec(self.model, tuple(self.values[k] for k in idx))
+        # The values were checked once, in __post_init__.
+        return _trusted_vec(self.model, tuple(self.values[k] for k in idx))
 
     def points(self) -> Iterable[TVec]:
         for idx in itertools.product(range(len(self.values)), repeat=self.n):
@@ -348,11 +350,6 @@ def violation_witness_detail(spec: HemispaceSpec, v: Violation) -> ViolationWitn
     return ViolationWitnessDetail(z, inside, outside, lam)
 
 
-def _gens_in_cone(cone: HemispaceSpec, gens: ConeGen) -> bool:
-    """Exact containment: a cone swallows a generated cone iff its generators."""
-    return all(conical_member(cone, g) for g in gens.gens)
-
-
 def sector_union_check(obj, grid: GridSpec) -> Verdict:
     """Every member point exposes a fully-contained (quasi)sector, and the
     sector types seen on the two sides are disjoint and respect I / J.
@@ -361,6 +358,11 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     at x is the unit section of the type-i quasisector at (x, 1), whose
     generators are the sector's lifted hull point and rays up to scaling;
     so both kinds of pair test quasisector generators against a cone.
+
+    A cone holds a quasisector iff it holds each generator
+    e_i + (y_j / y_i) e_j, which depends only on (i, j, y_i, y_j).  Each
+    call decides every such generator at most once per side, keyed by
+    i, j and the payloads of y_i and y_j; grid points share most keys.
     """
     affine = isinstance(obj, AffineHemispace)
     sides = obj, other_side(obj)
@@ -371,16 +373,27 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     side_member = affine_member if affine else conical_member
     one = TScalar.unit(grid.model)
     found: tuple[set, set] = (set(), set())
+    decided: tuple[dict, dict] = ({}, {})  # per side: generator key -> in the cone
     cases = 0
     for x in grid.points():
         if x.is_zero() and not affine:
             continue
         which = 0 if side_member(sides[0], x) else 1
         y = x.append(one) if affine else x
+        cone, seen = cones[which], decided[which]
+        supp = sorted(support(y))
         hit = None
-        for i in sorted(support(y)):
+        for i in supp:
             cases += 1
-            if _gens_in_cone(cones[which], quasisector_gens(SectorId.of_support(y, i))):
+            y_i = y.coords[i - 1].payload
+            for j in supp:
+                key = (i, j, y_i, y.coords[j - 1].payload)
+                inside = seen.get(key)
+                if inside is None:
+                    inside = seen[key] = conical_member(cone, quasisector_gen(y, i, j))
+                if not inside:
+                    break
+            else:
                 hit = i
                 break
         if hit is None:

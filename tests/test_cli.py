@@ -458,6 +458,48 @@ def test_cli_seed_belongs_to_verify(worked_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{box}", "--samples", "1000000000"],
+    ["verify", "{box}", "--samples", "-5"],
+    ["render2d", "{box}", "{out}", "--resolution", str(10**400)],
+    ["verify", "{box}", "--samples", "9" * 5000],
+    ["verify", "{box}", "--seed", "9" * 5000],
+    ["render2d", "{box}", "{out}", "--resolution", "9" * 5000],
+], ids=["samples-huge", "samples-negative", "resolution-huge", "samples-long",
+        "seed-long", "resolution-long"])
+def test_cli_integer_options_are_bounded(box_file, tmp_path, monkeypatch, capsys, argv):
+    # Unbounded, a billion samples hang, negative samples pass every
+    # sampled check vacuously, a 401-digit resolution overflows a float
+    # in render_svg, and a 5,000-digit value is quoted in full.
+    def accepted(*args):
+        raise AssertionError("the option was accepted")
+
+    monkeypatch.setattr("tropconv.cli.run_properties", accepted)
+    monkeypatch.setattr("tropconv.cli.render_svg", accepted)
+    argv = [a.format(box=box_file, out=tmp_path / "out.svg") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and argv[-2] in captured.err
+    assert len(captured.err.encode()) < 300 and "Traceback" not in captured.err
+
+
+def test_cli_integer_options_accept_their_bounds(box_file, tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr("tropconv.cli.run_properties",
+                        lambda obj, grid, samples, seed, which: seen.append((samples, seed)) or [])
+    monkeypatch.setattr("tropconv.cli.render_svg",
+                        lambda obj, config: seen.append(config.resolution) or "<svg/>")
+    for samples, seed in (("1", "-7"), ("100000", "9" * 100)):
+        assert main(["verify", box_file, "--samples", samples, "--seed", seed]) == 0
+    for resolution in ("16", "10000"):
+        assert main(["render2d", box_file, str(tmp_path / "out.svg"),
+                     "--resolution", resolution]) == 0
+    assert seen == [(1, -7), (100000, int("9" * 100)), 16, 10000]
+    capsys.readouterr()
+
+
 def test_cli_render(box_file, tmp_path, capsys):
     out = tmp_path / "box.svg"
     assert main(["render2d", box_file, str(out)]) == 0

@@ -10,13 +10,15 @@ from tropconv.sectors import (
     assemble_from_witnesses,
     common_point,
     quasisector_contains,
+    quasisector_gen,
     quasisector_gens,
     sector_contains,
     sector_pr,
     semispace_contains,
 )
+from tropconv.semiring import TScalar
 from tropconv.tlinalg import TVec, cone_member_fg, pr_member, support
-from tropconv.verify import make_grid
+from tropconv.verify import closure_scalars, make_grid
 
 
 def test_sector_id_validation():
@@ -69,6 +71,19 @@ def test_quasisector_generators():
         vec("[1, 1/2]"),
     }
     assert quasisector_gens(SectorId.of_support(vec("[1, 0]"), 1)).gens == {vec("[1, 0]")}
+
+
+def test_quasisector_gens_are_the_single_generators():
+    rng = random.Random(8)
+    for model in (MT, MP):
+        pool = [TScalar.bottom(model)] + closure_scalars(model)
+        for _ in range(60):
+            y = TVec(model, tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
+            for i in support(y):
+                sid = SectorId.of_support(y, i)
+                gens = {quasisector_gen(y, i, j) for j in support(y)}
+                assert quasisector_gens(sid).gens == gens
+                assert all(quasisector_contains(sid, g) for g in gens)
 
 
 def test_sector_pr_forms():

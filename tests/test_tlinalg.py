@@ -1,14 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import MP, MT, sc, vec
-from tropconv.semiring import TScalar
+from tropconv.semiring import ModelMismatchError, TScalar, t_add, t_mul
 from tropconv.tlinalg import (
     ConeGen,
     DimensionMismatchError,
     PRDecomposition,
     TVec,
+    _same_space,
     cone_member_fg,
     homogenize,
     parse_vector,
@@ -155,3 +157,71 @@ def test_vector_literals():
         parse_vector("2, 0", MT)
     with pytest.raises(ValueError):
         parse_vector("[]", MT)
+
+
+# The scalar-op bodies of `scale` and `join`, kept as the reference for
+# the payload arithmetic that replaced them.
+def _reference_scale(x: TVec, lam: TScalar) -> TVec:
+    if lam.is_top:
+        raise ValueError("Top is not a vector scaling factor")
+    return TVec(x.model, tuple(t_mul(lam, c) for c in x.coords))
+
+
+def _reference_join(x: TVec, y: TVec) -> TVec:
+    _same_space(x, y)
+    return TVec(x.model, tuple(t_add(a, b) for a, b in zip(x.coords, y.coords)))
+
+
+def _random_scalar(rng: random.Random, model) -> TScalar:
+    """Bottom, the unit, or a small or large payload of either sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return TScalar.bottom(model)
+    if kind == 1:
+        return TScalar.unit(model)
+    big = kind == 3
+    q = Fraction(rng.randint(1, 10**30 if big else 9), rng.randint(1, 10**25 if big else 5))
+    if model is MT:
+        return TScalar.finite(model, q if rng.random() < 0.5 else 1 / q)
+    return TScalar.finite(model, q if rng.random() < 0.5 else -q)
+
+
+@pytest.mark.parametrize("model", [MT, MP], ids=["max-times", "max-plus"])
+def test_vector_fast_paths_match_the_scalar_ops(model):
+    rng = random.Random(f"fast-paths:{model.value}")
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        x = TVec(model, tuple(_random_scalar(rng, model) for _ in range(n)))
+        y = TVec(model, tuple(_random_scalar(rng, model) for _ in range(n)))
+        lam = _random_scalar(rng, model)
+        for got, want in ((x.scale(lam), _reference_scale(x, lam)),
+                          (x.join(y), _reference_join(x, y))):
+            assert got == want
+            assert [(c.kind, c.payload) for c in got.coords] == \
+                [(c.kind, c.payload) for c in want.coords]
+            assert TVec(model, got.coords) == got  # the public checks accept it
+        assert x.append(lam) == TVec(model, x.coords + (lam,))
+        assert x.drop_last() == TVec(model, x.coords[:-1])
+    assert TVec.zero(model, 3) == TVec(model, (TScalar.bottom(model),) * 3)
+
+
+_REFERENCE = {"scale": _reference_scale, "join": _reference_join,
+              "append": lambda x, a: TVec(x.model, x.coords + (a,))}
+
+
+@pytest.mark.parametrize("method, arg, error", [
+    ("scale", TScalar.top(MT), ValueError),
+    ("scale", TScalar.unit(MP), ModelMismatchError),
+    ("scale", TScalar.bottom(MP), ModelMismatchError),
+    ("append", TScalar.top(MT), ValueError),
+    ("append", TScalar.unit(MP), ValueError),
+    ("join", vec("[1, 2, 3]"), DimensionMismatchError),
+    ("join", vec("[1, 2]", MP), ValueError),
+], ids=["scale-top", "scale-cross-model", "scale-cross-model-bottom", "append-top",
+        "append-cross-model", "join-dimension", "join-model"])
+def test_vector_boundaries_reject_bad_input(method, arg, error):
+    x = vec("[2, 1/2]")
+    for call in (getattr(x, method), lambda a: _REFERENCE[method](x, a)):
+        with pytest.raises(ValueError) as exc:
+            call(arg)
+        assert type(exc.value) is error

@@ -12,9 +12,11 @@ from tropconv.hemispace import (
     affine_complement,
     affine_member,
     conical_member,
+    other_side,
     rank_one_check,
 )
-from tropconv.sectors import SectorId, sector_contains
+from tropconv.sectors import SectorId, quasisector_gens, sector_contains
+from tropconv.semiring import TScalar
 from tropconv import verify
 from tropconv.specio import canonical_text
 from tropconv.tlinalg import ConeGen, PRDecomposition, cone_member_fg, support
@@ -106,6 +108,89 @@ def test_sector_union_builds_the_far_cone_once(monkeypatch):
     monkeypatch.setattr(HemispaceSpec, "build", classmethod(counting_build))
     assert sector_union_check(far, make_grid(MT, 2)).passed
     assert len(builds) == 1
+
+
+def _reference_sector_union(obj, grid):
+    """sector_union_check as a per-point loop that builds the generators
+    of every quasisector it tries and tests them all again."""
+    affine = isinstance(obj, AffineHemispace)
+    sides = obj, other_side(obj)
+    cones = tuple(side.cone for side in sides) if affine else sides
+    side_member = affine_member if affine else conical_member
+    one = TScalar.unit(grid.model)
+    found, cases = (set(), set()), 0
+    for x in grid.points():
+        if x.is_zero() and not affine:
+            continue
+        which = 0 if side_member(sides[0], x) else 1
+        y = x.append(one) if affine else x
+        hit = None
+        for i in sorted(support(y)):
+            cases += 1
+            gens = quasisector_gens(SectorId.of_support(y, i)).gens
+            if all(conical_member(cones[which], g) for g in gens):
+                hit = i
+                break
+        if hit is None:
+            return verify.Verdict("sector-union", False, cases,
+                                  f"x={x}: no contained sector on its own side")
+        found[which].add(hit)
+    if found[0] & found[1]:
+        return verify.Verdict("sector-union", False, cases,
+                              f"sector types on both sides: {sorted(found[0] & found[1])}")
+    if not found[0] <= cones[0].I or not found[1] <= cones[1].I:
+        return verify.Verdict("sector-union", False, cases,
+                              f"types {sorted(found[0])} / {sorted(found[1])} leak across I/J")
+    return verify.Verdict("sector-union", True, cases)
+
+
+def _sector_union_instances():
+    """Seeded conical specs (n = 2..4) and affine pairs (ambient 1..3) in
+    both models, each with the grid through its thresholds."""
+    rng = random.Random(21)
+    for model in (MT, MP):
+        for n in (2, 3, 4):
+            for _ in range(2 if n < 4 else 1):
+                spec = random_valid_spec(rng, model, n)
+                yield spec, grid_for_spec(spec, spanning=n < 4)
+        for ambient in (1, 2, 3):
+            h = random_valid_affine(rng, model, ambient)
+            yield h, grid_for_spec(h.base, ambient, spanning=ambient < 3)
+
+
+def test_sector_union_matches_the_per_point_reference():
+    kinds = set()
+    for obj, grid in _sector_union_instances():
+        for side in (obj, other_side(obj)):
+            assert sector_union_check(side, grid) == _reference_sector_union(side, grid)
+            kinds.add(isinstance(side, AffineHemispace))
+    assert kinds == {False, True}
+
+
+def test_sector_union_tests_each_generator_once_per_side(monkeypatch):
+    made, tested = [], []
+    gen, member = verify.quasisector_gen, verify.conical_member
+
+    def counting_gen(y, i, j):
+        g = gen(y, i, j)
+        made.append((g, (i, j, y.at(i).payload, y.at(j).payload)))
+        return g
+
+    def counting_member(cone, x):
+        if made and made[-1][0] is x:  # a generator test, not a side decision
+            tested.append((id(cone), made.pop()[1]))
+        return member(cone, x)
+
+    monkeypatch.setattr(verify, "quasisector_gen", counting_gen)
+    monkeypatch.setattr(verify, "conical_member", counting_member)
+    spec = worked_example()
+    for obj, grid in ((spec, grid_for_spec(spec)), (_box(False), make_grid(MT, 2)),
+                      (random_valid_affine(random.Random(3), MP, 2), make_grid(MP, 2))):
+        del made[:], tested[:]
+        # The reference calls hemispace's conical_member, which is not patched.
+        assert sector_union_check(obj, grid) == _reference_sector_union(obj, grid)
+        assert not made and tested
+        assert len(tested) == len(set(tested))
 
 
 def test_closure_positive_and_negative():
