@@ -52,6 +52,12 @@ from .verify import GridSpec, grid_for_spec, run_properties
 
 OK, SEMANTIC_FAIL, USAGE = 0, 1, 2
 
+# Most grid points `verify` will enumerate.  A default grid holds zero,
+# the standard values, the spec's thresholds and two spanning values: at
+# most 12 per axis for the thresholds of `verify.random_valid_spec`, so
+# every such grid up to n = 5 fits (12**5 = 248,832).
+MAX_GRID_POINTS = 250_000
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE):
@@ -250,6 +256,9 @@ def cmd_verify(args) -> int:
             raise CliError(f"bad grid: {exc}")
     else:
         grid = grid_for_spec(base, n)
+    if grid.size > MAX_GRID_POINTS:
+        raise CliError(f"grid of {len(grid.values)} values in {n} dimensions has more than "
+                       f"{MAX_GRID_POINTS} points")
     try:
         verdicts = run_properties(obj, grid, args.samples, args.seed, args.property)
     except ValueError as exc:

@@ -31,7 +31,6 @@ from .semiring import (
     quote_token,
     t_div,
     t_inv,
-    t_mul,
 )
 
 
@@ -89,11 +88,8 @@ class TVec:
         """lam times each coordinate: Bottom stays Bottom, and a finite
         payload gains lam's payload (max-plus) or is multiplied by it.
         The unit leaves the vector as it is."""
-        if lam.is_top:
-            raise ValueError("Top is not a vector scaling factor")
         model = self.model
-        if lam.model is not model:
-            raise ModelMismatchError(f"cannot combine {lam.model.value} with {model.value}")
+        _check_factor(model, lam)
         if lam.is_bottom:
             return TVec.zero(model, self.dim)
         p, plus = lam.payload, model is Model.MAX_PLUS
@@ -122,6 +118,14 @@ def _check_coord(model: Model, c: TScalar) -> None:
         raise ValueError("vector coordinates must share the vector's model")
     if c.is_top:
         raise ValueError("Top is not a vector coordinate")
+
+
+def _check_factor(model: Model, lam: TScalar) -> None:
+    """A vector scaling factor is a non-Top scalar of the vector's model."""
+    if lam.is_top:
+        raise ValueError("Top is not a vector scaling factor")
+    if lam.model is not model:
+        raise ModelMismatchError(f"cannot combine {lam.model.value} with {model.value}")
 
 
 def _trusted_vec(model: Model, coords: tuple[TScalar, ...]) -> TVec:
@@ -172,30 +176,6 @@ def unit_vector(model: Model, i: int, n: int) -> TVec:
     coords = [TScalar.bottom(model)] * n
     coords[i - 1] = TScalar.unit(model)
     return TVec(model, tuple(coords))
-
-
-def segment_points(x: TVec, y: TVec, k: int) -> list[TVec]:
-    """k deterministic samples of the tropical segment between x and y.
-
-    The coefficient ladder starts with (1,1), (1,zero), (zero,1) --
-    i.e. x+y, x, y -- and then interleaves (1, 2^-s) and (2^-s, 1) for
-    s = 1, 2, ...  so any k >= 3 includes both endpoints and the join.
-    """
-    _same_space(x, y)
-    if k < 1:
-        raise ValueError("k must be positive")
-    model = x.model
-    one = TScalar.unit(model)
-    bot = TScalar.bottom(model)
-    half = TScalar.finite(model, "-1") if model is Model.MAX_PLUS else TScalar.finite(model, "1/2")
-    pairs = [(one, one), (one, bot), (bot, one)]
-    step = one
-    while len(pairs) < k:
-        step = t_mul(step, half)
-        pairs.append((one, step))
-        if len(pairs) < k:
-            pairs.append((step, one))
-    return [x.scale(a).join(y.scale(b)) for a, b in pairs[:k]]
 
 
 # -- finitely generated cones and the residuation membership test -------

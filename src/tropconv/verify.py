@@ -6,11 +6,17 @@ as production code, and a failing check always carries a counterexample
 that reproduces the failure standalone.  Randomised sampling takes an
 explicit seed; identical seeds give identical verdicts.
 
-The all-pairs closure check writes each grid point as an int holding
-one thermometer field per coordinate (value index k as k one-bits).
-Grid values are sorted, so the bitwise or of two codes is the code of
-their tropical sum and each pair check is a set lookup; any reported
-failure is re-checked through the exact path before being believed.
+The closure and segment oracles decide on index tuples.  Each call
+first decides every grid point once into a table from index tuple to
+membership.  Points off the grid -- scalar multiples, segment points --
+live on an extended axis: the sorted grid values together with their
+products by the call's scalars or segment coefficients.  On that axis a
+scaling is a per-coordinate index map and, the axis being sorted, the
+tropical sum of two points is the coordinatewise max of their indices;
+a per-call memo decides each distinct tuple once.  Join-closure of the
+whole grid is decided by a lower-neighbour pass (see `_join_closed`);
+only when it fails does the row-major pair scan run, to name the first
+failing pair.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ from .tlinalg import (
     ConeGen,
     PRDecomposition,
     TVec,
+    _check_factor,
     _trusted_vec,
     cone_member_fg,
     pr_member,
-    segment_points,
     support,
 )
 
@@ -204,11 +210,86 @@ def affine_partition_check(h: AffineHemispace, grid: GridSpec) -> Verdict:
     )
 
 
-def _grid_membership(member: MemberFn, grid: GridSpec) -> list[tuple[int, ...]]:
-    """Index tuples of the grid points that are members, in row-major order."""
+def _grid_table(member: MemberFn, grid: GridSpec) -> dict[tuple[int, ...], bool]:
+    """Every grid point decided once, keyed by its index tuple, in
+    row-major order."""
+    return {idx: member(grid.point(idx))
+            for idx in itertools.product(range(len(grid.values)), repeat=grid.n)}
+
+
+class _ExtendedAxis:
+    """The grid values and their products with some factors, sorted and
+    distinct, with one membership memo on tuples of axis indices.
+
+    `maps[c][k]` is the axis index of values[k]·c, so the multiple x·c of
+    a grid point is a per-coordinate map of its index tuple, and the
+    tropical sum of two axis points is the coordinatewise max of their
+    indices.  The memo starts from the grid table and calls `member`
+    once on each other tuple it is asked about.
+    """
+
+    def __init__(self, member: MemberFn, grid: GridSpec,
+                 table: dict[tuple[int, ...], bool], factors: Iterable[TScalar]):
+        model, values = grid.model, grid.values
+        products = {}
+        for c in factors:
+            _check_factor(model, c)
+            products[c] = [t_mul(v, c) for v in values]
+        by_key = {v._key(): v for v in itertools.chain(values, *products.values())}
+        keys = sorted(by_key)
+        where = {key: a for a, key in enumerate(keys)}
+        self.model, self.axis, self._member = model, [by_key[key] for key in keys], member
+        self.maps = {c: [where[v._key()] for v in row] for c, row in products.items()}
+        pos = [where[v._key()] for v in values]
+        self._memo = {tuple(pos[k] for k in idx): inside for idx, inside in table.items()}
+
+    def point(self, t: tuple[int, ...]) -> TVec:
+        return _trusted_vec(self.model, tuple(self.axis[a] for a in t))
+
+    def member(self, t: tuple[int, ...]) -> bool:
+        inside = self._memo.get(t)
+        if inside is None:
+            inside = self._memo[t] = self._member(self.point(t))
+        return inside
+
+
+def _thermometer_codes(grid: GridSpec) -> list[int]:
+    """Each grid point in row-major order as an int with one field of
+    len(values) bits per coordinate, value index k written as k one-bits.
+    The values are sorted, so the bitwise or of two codes is the code of
+    the join of their points."""
     m = len(grid.values)
-    return [idx for idx in itertools.product(range(m), repeat=grid.n)
-            if member(grid.point(idx))]
+    codes = [0]
+    for c in range(grid.n):  # row-major: the last coordinate varies fastest
+        codes = [base | ((1 << k) - 1) << (c * m) for base in codes for k in range(m)]
+    return codes
+
+
+def _join_closed(grid: GridSpec, table: dict[tuple[int, ...], bool], codes: list[int]) -> bool:
+    """Whether the grid members are closed under pairwise joins.
+
+    The grid is a product of chains.  Let J(p) be the join of the members
+    at or below p: p itself for a member, otherwise the join of J at p's
+    n lower neighbours.  The members are join-closed exactly when no
+    non-member p has J(p) = p.  J is held as a thermometer code, so a
+    join is a bitwise or; the empty join is 0, the code of the least
+    point, which is never the join of members below it.
+    """
+    m, n = len(grid.values), grid.n
+    strides = [m ** (n - 1 - c) for c in range(n)]
+    below = [0] * len(codes)
+    for f, (idx, inside) in enumerate(table.items()):
+        if inside:
+            below[f] = codes[f]
+            continue
+        acc = 0
+        for c, k in enumerate(idx):
+            if k:
+                acc |= below[f - strides[c]]
+        if f and acc == codes[f]:
+            return False
+        below[f] = acc
+    return True
 
 
 def closure_check(
@@ -221,60 +302,82 @@ def closure_check(
 ) -> Verdict:
     """Members stay members under pairwise joins and scalar multiples.
 
-    pairs=None checks every pair of grid members; the grid is closed
-    under joins, so each pair check is a lookup of the join's code among
-    the members' codes.  Any candidate failure is re-verified through
-    the exact membership path before it is reported.
+    pairs=None checks every pair of grid members.  The grid is closed
+    under joins, so this is the lower-neighbour pass over the grid
+    table; a pass counts one case per ordered pair of members, and a
+    failure is named by the row-major pair scan.  Scalar multiples are
+    decided on the extended axis of the grid values and `scalars`.
     """
-    members_idx = _grid_membership(member, grid)
+    table = _grid_table(member, grid)
+    members_idx = [idx for idx, inside in table.items() if inside]
     cases = grid.size
 
-    def recheck(ia, ib) -> Optional[Verdict]:
-        x, y = grid.point(ia), grid.point(ib)
-        z = x.join(y)
-        if not member(z):
-            return Verdict(name, False, cases, f"x={x}, y={y}, join={z} left the set")
-        return None
+    def join_failure(ia, ib) -> Verdict:
+        z = tuple(map(max, ia, ib))
+        return Verdict(name, False, cases, f"x={grid.point(ia)}, y={grid.point(ib)}, "
+                                           f"join={grid.point(z)} left the set")
 
     if pairs is None:
-        m = len(grid.values)
-        codes = [sum(((1 << k) - 1) << (c * m) for c, k in enumerate(idx))
-                 for idx in members_idx]
-        inside = set(codes)
-        # Cases count a block of up to 256 rows before any of its pairs.
-        # The join is symmetric, so the first failing pair in row-major
-        # order lies on or right of the diagonal: rows start there.
-        for start in range(0, len(codes), 256):
-            rows = range(start, min(start + 256, len(codes)))
-            cases += len(rows) * len(codes)
-            for a in rows:
-                if inside.issuperset(map(codes[a].__or__, codes[a:])):
-                    continue
-                b = next(b for b in range(a, len(codes)) if codes[a] | codes[b] not in inside)
-                bad_verdict = recheck(members_idx[a], members_idx[b])
-                if bad_verdict is not None:
-                    return bad_verdict
-                raise InternalInconsistencyError("join codes disagree with exact path")
+        codes = _thermometer_codes(grid)
+        if _join_closed(grid, table, codes):
+            cases += len(members_idx) ** 2
+        else:
+            codes = [code for code, inside in zip(codes, table.values()) if inside]
+            inside = set(codes)
+            # The join is symmetric, so the first failing pair in
+            # row-major order lies on or right of the diagonal.  Cases
+            # count each block of up to 256 rows before any of its pairs.
+            for a, code in enumerate(codes):
+                if not inside.issuperset(map(code.__or__, codes[a:])):
+                    b = next(b for b in range(a, len(codes)) if code | codes[b] not in inside)
+                    cases += min(a // 256 * 256 + 256, len(codes)) * len(codes)
+                    return join_failure(members_idx[a], members_idx[b])
+            raise InternalInconsistencyError("lower-neighbour pass and pair scan disagree")
     elif members_idx:
         rng = random.Random(f"{seed}:{name}:pairs")
         for _ in range(pairs):
             ia = members_idx[rng.randrange(len(members_idx))]
             ib = members_idx[rng.randrange(len(members_idx))]
             cases += 1
-            bad_verdict = recheck(ia, ib)
-            if bad_verdict is not None:
-                return bad_verdict
+            if not table[tuple(map(max, ia, ib))]:
+                return join_failure(ia, ib)
 
+    if not members_idx:
+        return Verdict(name, True, cases)
+    ext = _ExtendedAxis(member, grid, table, scalars)
+    ladder = [(lam, ext.maps[lam]) for lam in scalars]
     for idx in members_idx:
-        x = grid.point(idx)
-        for lam in scalars:
+        for lam, scaled in ladder:
             cases += 1
-            if not member(x.scale(lam)):
+            if not ext.member(tuple(scaled[k] for k in idx)):
                 return Verdict(
                     name, False, cases,
-                    f"x={x}, lam={lam}: scalar multiple left the set",
+                    f"x={grid.point(idx)}, lam={lam}: scalar multiple left the set",
                 )
     return Verdict(name, True, cases)
+
+
+def segment_coefficients(model: Model, k: int) -> list[tuple[TScalar, TScalar]]:
+    """The first k coefficient pairs (a, b) of the tropical segment
+    samples (a·x) ⊕ (b·y).
+
+    The ladder starts with (1,1), (1,zero), (zero,1) -- i.e. x+y, x, y --
+    and then interleaves (1, 2^-s) and (2^-s, 1) for s = 1, 2, ...  so
+    any k >= 3 includes both endpoints and the join.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    one = TScalar.unit(model)
+    bot = TScalar.bottom(model)
+    half = TScalar.finite(model, "-1") if model is Model.MAX_PLUS else TScalar.finite(model, "1/2")
+    pairs = [(one, one), (one, bot), (bot, one)]
+    step = one
+    while len(pairs) < k:
+        step = t_mul(step, half)
+        pairs.append((one, step))
+        if len(pairs) < k:
+            pairs.append((step, one))
+    return pairs[:k]
 
 
 def segment_convexity_check(
@@ -285,20 +388,31 @@ def segment_convexity_check(
     seed: int = 0,
     name: str = "segment-convexity",
 ) -> Verdict:
-    """Sampled tropical segments between members stay inside the set."""
-    members_idx = _grid_membership(member, grid)
+    """Sampled tropical segments between members stay inside the set.
+
+    Each segment point is the coordinatewise max of two mapped index
+    tuples on the extended axis of the grid values and the coefficients.
+    """
+    table = _grid_table(member, grid)
+    members_idx = [idx for idx, inside in table.items() if inside]
     cases = grid.size
     if not members_idx:
         return Verdict(name, True, cases)
+    coefficients = segment_coefficients(grid.model, k)
+    ext = _ExtendedAxis(member, grid, table, dict.fromkeys(c for ab in coefficients for c in ab))
+    ladder = [(ext.maps[a], ext.maps[b]) for a, b in coefficients]
     rng = random.Random(f"{seed}:{name}")
     for _ in range(pairs):
-        x = grid.point(members_idx[rng.randrange(len(members_idx))])
-        y = grid.point(members_idx[rng.randrange(len(members_idx))])
-        for z in segment_points(x, y, k):
+        ix = members_idx[rng.randrange(len(members_idx))]
+        iy = members_idx[rng.randrange(len(members_idx))]
+        for ma, mb in ladder:
             cases += 1
-            if not member(z):
+            t = tuple(max(ma[i], mb[j]) for i, j in zip(ix, iy))
+            if not ext.member(t):
                 return Verdict(
-                    name, False, cases, f"x={x}, y={y}: segment point {z} left the set"
+                    name, False, cases,
+                    f"x={grid.point(ix)}, y={grid.point(iy)}: "
+                    f"segment point {ext.point(t)} left the set",
                 )
     return Verdict(name, True, cases)
 

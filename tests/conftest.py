@@ -3,7 +3,8 @@ from hypothesis import HealthCheck, settings
 
 from tropconv.hemispace import BoundarySet, HemispaceSpec
 from tropconv.semiring import Model, TScalar, parse_scalar
-from tropconv.tlinalg import TVec, parse_vector
+from tropconv.tlinalg import TVec, _same_space, parse_vector
+from tropconv.verify import segment_coefficients
 
 settings.register_profile(
     "fixed",
@@ -43,3 +44,11 @@ def worked_example() -> HemispaceSpec:
 @pytest.fixture
 def worked_spec() -> HemispaceSpec:
     return worked_example()
+
+
+def segment_points(x: TVec, y: TVec, k: int) -> list[TVec]:
+    """k samples (a·x) ⊕ (b·y) of the tropical segment between x and y,
+    computed with `TVec.scale` and `join` on the oracle's coefficient
+    ladder; the reference for `verify.segment_convexity_check`."""
+    _same_space(x, y)
+    return [x.scale(a).join(y.scale(b)) for a, b in segment_coefficients(x.model, k)]

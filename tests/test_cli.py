@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MP, MT
 import tropconv
-from tropconv.cli import main
+from tropconv.cli import MAX_GRID_POINTS, main
 from tropconv.hemispace import (
     AffineHemispace,
     SpecError,
@@ -455,6 +455,35 @@ def test_cli_seed_belongs_to_verify(worked_file, monkeypatch, capsys):
     monkeypatch.setattr("tropconv.cli.run_properties", fake_run_properties)
     assert main(["verify", worked_file, "--seed", "7"]) == 0
     assert seeds == [7]
+    capsys.readouterr()
+
+
+def test_cli_verify_bounds_the_grid(tmp_path, monkeypatch, capsys):
+    values = "zero," + ",".join(str(v) for v in range(1, 60))  # 60**4 points
+    start = time.monotonic()
+    conical = str(SPEC_FILES[0].parent / "conical-4d.json")
+    assert main(["verify", conical, "--grid", values, "--property", "partition"]) == 2
+    assert time.monotonic() - start < 2
+    err = capsys.readouterr().err
+    assert "grid of 60 values in 4 dimensions" in err and len(err.encode()) < 300
+
+    # Every default grid of the shipped specs and of random valid specs up
+    # to n = 5 is admitted.
+    sizes = []
+    monkeypatch.setattr("tropconv.cli.run_properties",
+                        lambda obj, grid, *rest: sizes.append(grid.size) or [])
+    rng = random.Random(8)
+    files = list(SPEC_FILES)
+    for model in (MT, MP):
+        for n in (2, 3, 4, 5):
+            for _ in range(20):
+                for obj in (random_valid_spec(rng, model, n), random_valid_affine(rng, model, n)):
+                    files.append(tmp_path / f"spec{len(files)}.json")
+                    files[-1].write_text(canonical_text(obj))
+    for path in files:
+        assert main(["verify", str(path)]) == 0, path
+    assert len(sizes) == len(files) and max(sizes) > 10 ** 4
+    assert max(sizes) <= MAX_GRID_POINTS
     capsys.readouterr()
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MP, MT, sc, vec
+from conftest import MP, MT, sc, segment_points, vec
 from tropconv.semiring import ModelMismatchError, TScalar, t_add, t_mul
 from tropconv.tlinalg import (
     ConeGen,
@@ -16,7 +16,6 @@ from tropconv.tlinalg import (
     parse_vector,
     pr_member,
     section_unity,
-    segment_points,
     support,
     unit_vector,
 )

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 import re
 
 import pytest
 
-from conftest import MP, MT, bset, sc, vec, worked_example
+from conftest import MP, MT, bset, sc, segment_points, vec, worked_example
 from tropconv.hemispace import (
     AffineHemispace,
     HemispaceSpec,
@@ -16,12 +17,13 @@ from tropconv.hemispace import (
     rank_one_check,
 )
 from tropconv.sectors import SectorId, quasisector_gens, sector_contains
-from tropconv.semiring import TScalar
+from tropconv.semiring import InternalInconsistencyError, ModelMismatchError, TScalar
 from tropconv import verify
 from tropconv.specio import canonical_text
 from tropconv.tlinalg import ConeGen, PRDecomposition, cone_member_fg, support
 from tropconv.verify import (
     GridSpec,
+    Verdict,
     affine_partition_check,
     closure_check,
     closure_scalars,
@@ -144,7 +146,7 @@ def _reference_sector_union(obj, grid):
     return verify.Verdict("sector-union", True, cases)
 
 
-def _sector_union_instances():
+def _seeded_pairs():
     """Seeded conical specs (n = 2..4) and affine pairs (ambient 1..3) in
     both models, each with the grid through its thresholds."""
     rng = random.Random(21)
@@ -160,7 +162,7 @@ def _sector_union_instances():
 
 def test_sector_union_matches_the_per_point_reference():
     kinds = set()
-    for obj, grid in _sector_union_instances():
+    for obj, grid in _seeded_pairs():
         for side in (obj, other_side(obj)):
             assert sector_union_check(side, grid) == _reference_sector_union(side, grid)
             kinds.add(isinstance(side, AffineHemispace))
@@ -244,6 +246,215 @@ def test_segment_convexity_negative_control():
     # semispaces (sector complements) are convex too
     comp = segment_convexity_check(lambda x: not sector_contains(s1, x), grid, 300, 5, seed=1)
     assert comp.passed
+
+
+def _reference_grid_membership(member, grid):
+    m = len(grid.values)
+    return [idx for idx in itertools.product(range(m), repeat=grid.n)
+            if member(grid.point(idx))]
+
+
+def _reference_closure(member, grid, pairs, scalars, seed=0, name="closure"):
+    """The closure check before grid tables: every pair of members through
+    thermometer codes, and every scalar multiple through `TVec.scale`."""
+    members_idx = _reference_grid_membership(member, grid)
+    cases = grid.size
+
+    def recheck(ia, ib):
+        x, y = grid.point(ia), grid.point(ib)
+        z = x.join(y)
+        if not member(z):
+            return Verdict(name, False, cases, f"x={x}, y={y}, join={z} left the set")
+        return None
+
+    if pairs is None:
+        m = len(grid.values)
+        codes = [sum(((1 << k) - 1) << (c * m) for c, k in enumerate(idx))
+                 for idx in members_idx]
+        inside = set(codes)
+        for start in range(0, len(codes), 256):
+            rows = range(start, min(start + 256, len(codes)))
+            cases += len(rows) * len(codes)
+            for a in rows:
+                if inside.issuperset(map(codes[a].__or__, codes[a:])):
+                    continue
+                b = next(b for b in range(a, len(codes)) if codes[a] | codes[b] not in inside)
+                bad_verdict = recheck(members_idx[a], members_idx[b])
+                if bad_verdict is not None:
+                    return bad_verdict
+                raise InternalInconsistencyError("join codes disagree with exact path")
+    elif members_idx:
+        rng = random.Random(f"{seed}:{name}:pairs")
+        for _ in range(pairs):
+            ia = members_idx[rng.randrange(len(members_idx))]
+            ib = members_idx[rng.randrange(len(members_idx))]
+            cases += 1
+            bad_verdict = recheck(ia, ib)
+            if bad_verdict is not None:
+                return bad_verdict
+    for idx in members_idx:
+        x = grid.point(idx)
+        for lam in scalars:
+            cases += 1
+            if not member(x.scale(lam)):
+                return Verdict(name, False, cases,
+                               f"x={x}, lam={lam}: scalar multiple left the set")
+    return Verdict(name, True, cases)
+
+
+def _reference_segments(member, grid, pairs, k, seed=0, name="segment-convexity"):
+    """The segment check before grid tables: each sampled point built with
+    `TVec.scale` and `join`."""
+    members_idx = _reference_grid_membership(member, grid)
+    cases = grid.size
+    if not members_idx:
+        return Verdict(name, True, cases)
+    rng = random.Random(f"{seed}:{name}")
+    for _ in range(pairs):
+        x = grid.point(members_idx[rng.randrange(len(members_idx))])
+        y = grid.point(members_idx[rng.randrange(len(members_idx))])
+        for z in segment_points(x, y, k):
+            cases += 1
+            if not member(z):
+                return Verdict(name, False, cases,
+                               f"x={x}, y={y}: segment point {z} left the set")
+    return Verdict(name, True, cases)
+
+
+def _box_le_2(x):
+    """The max-times box with every coordinate at most 2: closed under
+    joins, not under scaling."""
+    return all(c.is_bottom or c.payload <= 2 for c in x.coords)
+
+
+def _all_but(point):
+    """The whole space without one point."""
+    return lambda x: x != point
+
+
+def _assert_matches_references(member, grid, samples=60, seed=3):
+    """Both closure modes and the segment check agree with the references."""
+    scalars = closure_scalars(grid.model)
+    verdicts = []
+    for pairs in (None, samples):
+        got = closure_check(member, grid, pairs, scalars, seed)
+        assert got == _reference_closure(member, grid, pairs, scalars, seed)
+        verdicts.append(got)
+    got = segment_convexity_check(member, grid, samples, 5, seed)
+    assert got == _reference_segments(member, grid, samples, 5, seed)
+    return verdicts + [got]
+
+
+def test_scaling_negative_control():
+    grid = make_grid(MT, 2)
+    for pairs in (None, 40):
+        bad = closure_check(_box_le_2, grid, pairs, closure_scalars(MT))
+        assert not bad.passed
+        assert bad.counterexample.endswith("scalar multiple left the set")
+        assert bad == _reference_closure(_box_le_2, grid, pairs, closure_scalars(MT))
+
+
+def test_segment_negative_control_off_the_grid():
+    grid = make_grid(MT, 2)
+    z = vec("[1/8, 1]")  # [0, 1] ⊕ 1/2·[1/4, 1]; 1/8 is not a grid value
+    assert z not in set(grid.points())
+    assert segment_points(vec("[0, 1]"), vec("[1/4, 1]"), 4)[3] == z
+    bad = segment_convexity_check(_all_but(z), grid, 2000, 5, seed=1)
+    assert not bad.passed and "segment point [1/8, 1] left the set" in bad.counterexample
+    assert bad == _reference_segments(_all_but(z), grid, 2000, 5, seed=1)
+
+
+def test_closure_and_segments_match_the_references():
+    """Seeded conical pairs (n = 2..4) and affine pairs (ambient 1..3) in
+    both models, both closure modes.  The affine pairs of `_seeded_pairs`
+    bound no lifted coordinate, so their sides are cones; each bounded
+    pair added here has a side that scaling leaves."""
+    instances = list(_seeded_pairs())
+    rng = random.Random(4)
+    for model in (MT, MP):
+        for ambient in (1, 2, 3):
+            h = random_valid_affine(rng, model, ambient)
+            while not any(b.threshold.is_finite for (i, _), b in h.base.sigma.items()
+                          if i == ambient + 1):
+                h = random_valid_affine(rng, model, ambient)
+            instances.append((h, grid_for_spec(h.base, ambient)))
+    scaling_failures = 0
+    for obj, grid in instances:
+        for side in (obj, other_side(obj)):
+            member = (affine_member if isinstance(side, AffineHemispace) else conical_member)
+            verdicts = _assert_matches_references(lambda x, s=side: member(s, x), grid)
+            assert verdicts[2].passed and verdicts[0].passed == verdicts[1].passed
+            scaling_failures += not verdicts[0].passed
+    assert scaling_failures >= 6
+
+
+def test_negative_controls_match_the_references():
+    """Sets that break each law: random subsets of the grid, cones with one
+    point taken out (on the grid, deep in row-major order, or a scalar
+    multiple off it), the box and the crossed boxes."""
+    rng = random.Random(17)
+    failed = []
+    for model in (MT, MP):
+        for n in (2, 3):
+            grid = make_grid(model, n)
+            for density in (0.6, 0.95):
+                salt = rng.random()
+
+                def subset(x, salt=salt, density=density):
+                    digest = hashlib.sha256(f"{salt}:{x}".encode()).digest()
+                    return digest[0] < 256 * density
+
+                failed.append(_assert_matches_references(subset, grid))
+            spec = random_valid_spec(rng, model, n)
+            members = [x for x in grid.points() if conical_member(spec, x) and not x.is_zero()]
+            gone = members[-len(members) // 3]
+            failed.append(_assert_matches_references(
+                lambda x, s=spec, g=gone: x != g and conical_member(s, x), grid))
+            on_grid = set(grid.points())
+            off = next(y for x in members for lam in closure_scalars(model)
+                       if (y := x.scale(lam)) not in on_grid)
+            failed.append(_assert_matches_references(
+                lambda x, s=spec, g=off: x != g and conical_member(s, x), grid))
+    grid = make_grid(MT, 2)
+    s1, s2 = SectorId.affine(vec("[1, 4]")), SectorId.affine(vec("[4, 1]"))
+    for member in (_box_le_2, lambda x: x.at(1).is_bottom or x.at(2).is_bottom,
+                   lambda x: sector_contains(s1, x) or sector_contains(s2, x)):
+        failed.append(_assert_matches_references(member, grid, samples=300))
+    assert sum(not v.passed for vs in failed for v in vs) >= 2 * len(failed)
+
+
+def test_closure_and_segments_decide_each_point_once():
+    rng = random.Random(5)
+    for model in (MT, MP):
+        spec = random_valid_spec(rng, model, 3)
+        grid = grid_for_spec(spec)
+        for member in (lambda x: conical_member(spec, x), _box_le_2 if model is MT else
+                       (lambda x: x.at(1).is_bottom or x.at(2).is_bottom)):
+            asked = []
+
+            def counting(x):
+                asked.append(x.coords)
+                return member(x)
+
+            for run in (lambda: closure_check(counting, grid, None, closure_scalars(model)),
+                        lambda: closure_check(counting, grid, 200, closure_scalars(model)),
+                        lambda: segment_convexity_check(counting, grid, 200, 7)):
+                del asked[:]
+                run()
+                assert len(asked) == len(set(asked)) >= grid.size
+
+
+def test_bad_factors_and_ladders_raise_as_before():
+    grid = make_grid(MT, 2)
+    member = _box_le_2
+    for scalars, exc in (([TScalar.top(MT)], ValueError),
+                         ([TScalar.unit(MP)], ModelMismatchError)):
+        for check in (closure_check, _reference_closure):
+            with pytest.raises(exc):
+                check(member, grid, None, scalars)
+    for check in (segment_convexity_check, _reference_segments):
+        with pytest.raises(ValueError):
+            check(member, grid, 10, 0)
 
 
 def test_violation_witness_lands_in_both_cones():
