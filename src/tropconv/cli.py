@@ -58,6 +58,8 @@ OK, SEMANTIC_FAIL, USAGE = 0, 1, 2
 # every such grid up to n = 5 fits (12**5 = 248,832).
 MAX_GRID_POINTS = 250_000
 
+MAX_SECTOR_DIM = 500  # longest `sectors` base point; `gens` prints dim**2 coordinates
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE):
@@ -190,6 +192,8 @@ def _parse_sector(args, model: Model) -> SectorId:
         y = parse_vector(args.base, model)
     except ValueError as exc:
         raise CliError(str(exc))
+    if y.dim > MAX_SECTOR_DIM:
+        raise CliError(f"base point has {y.dim} coordinates, more than {MAX_SECTOR_DIM}")
     token = args.type.strip()
     if token in ("n+1", str(y.dim + 1)):
         if args.quasi:
@@ -215,7 +219,7 @@ def cmd_sectors(args) -> int:
         if args.quasi:
             gens = quasisector_gens(sid)
             print(f"cone generators of quasisector {sid.describe()}:")
-            for g in gens.sorted_gens():
+            for g in gens.sorted_gens:
                 print(f"  {g}")
         else:
             d = sector_pr(sid)
@@ -225,16 +229,16 @@ def cmd_sectors(args) -> int:
             for r in sorted(d.R, key=TVec.sort_key):
                 print(f"  R {r}")
         return OK
-    try:
+    try:  # a malformed point or one of the wrong length
         x = parse_vector(args.point, model)
+        if args.quasi:
+            inside = quasisector_contains(sid, x)
+        elif args.semispace:
+            inside = semispace_contains(sid, x)
+        else:
+            inside = sector_contains(sid, x)
     except ValueError as exc:
         raise CliError(str(exc))
-    if args.quasi:
-        inside = quasisector_contains(sid, x)
-    elif args.semispace:
-        inside = semispace_contains(sid, x)
-    else:
-        inside = sector_contains(sid, x)
     print("IN" if inside else "OUT")
     return OK if inside else SEMANTIC_FAIL
 

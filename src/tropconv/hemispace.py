@@ -18,7 +18,6 @@ this object denotes.  Each side is the unit section of its own cone
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -153,11 +152,10 @@ def pick_finite_in_interval(
         return hi
     if lo.is_bottom and hi.is_top:
         return TScalar.unit(model)
-    plus = model is Model.MAX_PLUS
     if lo.is_bottom:
-        return t_mul(hi, TScalar.finite(model, -1 if plus else Fraction(1, 2)))
+        return t_mul(hi, TScalar.finite(model, model.two_power(-1)))
     if hi.is_top:
-        return t_mul(lo, TScalar.finite(model, 1 if plus else 2))
+        return t_mul(lo, TScalar.finite(model, model.two))
     if not lo < hi:
         raise InternalInconsistencyError("empty interval handed to witness picker")
     mid = (lo.payload + hi.payload) / 2
@@ -497,8 +495,7 @@ def _compile_kernel(spec: HemispaceSpec) -> tuple:
         plane = None if cls.J_elems else dropped | {i for i, _ in rows}
         kernels.append(_ClassKernel(cls.index, rows, cols, tuple(j - 1 for j in sorted(cls.L)),
                                     dropped, plane))
-    mul = operator.add if spec.model is Model.MAX_PLUS else operator.mul
-    return mul, tuple(kernels)
+    return spec.model.mul, tuple(kernels)
 
 
 def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKernel]]:

@@ -269,17 +269,12 @@ def _geometry_features(geom: PlaneGeometry, frame: _Frame) -> list:
     # Diagonal boundary where the scaled part dominates.
     tl = lin.threshold
     if tl.is_finite:
-        if frame.model is Model.MAX_TIMES:
-            f = lambda a: tl.payload * a
-            finv = lambda b: b / tl.payload
-        else:
-            f = lambda a: tl.payload + a
-            finv = lambda b: b - tl.payload
+        mul, tl_inv = frame.model.mul, frame.model.inv(tl.payload)
+        f = lambda a: mul(tl.payload, a)
+        finv = lambda b: mul(b, tl_inv)
         a1 = frame.xlo
         if tc.is_finite:
-            astar = t_mul(tc, t_inv(tl))
-            if astar.is_finite:
-                a1 = max(a1, astar.payload)
+            a1 = max(a1, finv(tc.payload))  # the crossing with the constant part
         elif tc.is_top:
             a1 = frame.xhi  # constant part covers everything
         if f(a1) < frame.ylo:

@@ -22,7 +22,6 @@ from .semiring import (
     t_add,
     t_div,
     t_inv,
-    t_max,
     t_mul,
 )
 from .tlinalg import (
@@ -67,38 +66,41 @@ class SectorId:
         return f"type {i} at {self.base}"
 
 
-def _check_point(s: SectorId, x: TVec) -> None:
+def _top_ratio(s: SectorId, x: TVec) -> Optional[tuple]:
+    """(max over supp(x) of x_j / y_j, and x_i / y_i at the type index i)
+    as payloads with None for Bottom, or None when supp(x) is not
+    contained in supp(y)."""
     if x.model is not s.base.model:
         raise ValueError("point and sector base use different models")
     if x.dim != s.base.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {s.base.dim}")
-
-
-def _weighted_max(x: TVec, y: TVec) -> TScalar:
-    """max over supp(y) of x_j / y_j."""
-    return t_max((t_div(x.at(j), y.at(j)) for j in support(y)), x.model)
+    mul, inv = x.model.mul, x.model.inv
+    pairs = [(a.payload, b.payload) for a, b in zip(x.coords, s.base.coords)]
+    if any(a is not None and b is None for a, b in pairs):
+        return None
+    r = [None if a is None else mul(a, inv(b)) for a, b in pairs]
+    top = max((q for q in r if q is not None), default=None)
+    return top, None if s.is_affine_type else r[s.type_index - 1]
 
 
 def quasisector_contains(s: SectorId, x: TVec) -> bool:
+    """max over supp(y) of x_j / y_j is attained at the type index."""
     if s.is_affine_type:
         raise InvalidSectorError("quasisectors have no (n+1) type")
-    _check_point(s, x)
-    y = s.base
-    if not support(x) <= support(y):
-        return False
-    return _weighted_max(x, y) <= t_div(x.at(s.type_index), y.at(s.type_index))
+    t = _top_ratio(s, x)
+    return t is not None and t[0] == t[1]
 
 
 def sector_contains(s: SectorId, x: TVec) -> bool:
-    _check_point(s, x)
-    y = s.base
-    if not support(x) <= support(y):
+    """max(1, max over supp(y) of x_j / y_j) is at most x_i / y_i at the
+    type index i, or at most 1 for the extra type."""
+    t = _top_ratio(s, x)
+    if t is None:
         return False
-    lhs = _weighted_max(x, y)
+    top, at_i = t
     if s.is_affine_type:
-        return lhs <= TScalar.unit(x.model)
-    rhs = t_div(x.at(s.type_index), y.at(s.type_index))
-    return t_add(lhs, TScalar.unit(x.model)) <= rhs
+        return top is None or top <= x.model.unit
+    return top is not None and top == at_i and top >= x.model.unit
 
 
 def semispace_contains(s: SectorId, x: TVec) -> bool:
@@ -140,10 +142,6 @@ def sector_pr(s: SectorId) -> PRDecomposition:
     return PRDecomposition.of(model, n, P, quasisector_gens(s).gens)
 
 
-def _t_min(a: TScalar, b: TScalar) -> TScalar:
-    return a if a <= b else b
-
-
 def common_point(x: TVec, y: TVec, i: int, affine: bool) -> TVec:
     """A nonzero point in the type-i (quasi)sectors of both x and y.
 
@@ -173,7 +171,7 @@ def _conical_common(x: TVec, y: TVec, i: int) -> TVec:
     xi_inv = t_inv(x.at(i))
     yi_inv = t_inv(y.at(i))
     coords = [
-        _t_min(t_mul(xi_inv, x.at(j)), t_mul(yi_inv, y.at(j))) for j in range(1, x.dim + 1)
+        min(t_mul(xi_inv, x.at(j)), t_mul(yi_inv, y.at(j))) for j in range(1, x.dim + 1)
     ]
     return TVec(x.model, tuple(coords))
 

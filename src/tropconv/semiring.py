@@ -19,6 +19,8 @@ for boundary-set bookkeeping.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -31,8 +33,23 @@ _TOP = 2
 
 
 class Model(enum.Enum):
-    MAX_PLUS = "max-plus"
-    MAX_TIMES = "max-times"
+    """Each model's payload arithmetic, defined here only: on finite
+    payloads `mul` is the product and `inv` its inverse, `unit` is the
+    unit's payload and `two` that of the model's two."""
+
+    MAX_PLUS = "max-plus", operator.add, operator.neg, 0, 1
+    MAX_TIMES = "max-times", operator.mul, (lambda q: 1 / q), 1, 2
+
+    def __new__(cls, text, mul, inv, unit, two):
+        model = object.__new__(cls)
+        model._value_ = text
+        model.mul, model.inv, model.unit, model.two = mul, inv, Fraction(unit), Fraction(two)
+        return model
+
+    def two_power(self, k: int) -> Fraction:
+        """The payload of two to the k-th power (k may be negative)."""
+        step = self.two if k >= 0 else self.inv(self.two)
+        return functools.reduce(self.mul, [step] * abs(k), self.unit)
 
     @classmethod
     def parse(cls, text: str) -> "Model":
@@ -77,7 +94,7 @@ class TScalar:
 
     @staticmethod
     def unit(model: Model) -> "TScalar":
-        return TScalar(model, _FIN, Fraction(0) if model is Model.MAX_PLUS else Fraction(1))
+        return TScalar(model, _FIN, model.unit)
 
     # -- predicates ----------------------------------------------------
 
@@ -131,7 +148,7 @@ def t_add(a: TScalar, b: TScalar) -> TScalar:
 
 
 def t_mul(a: TScalar, b: TScalar) -> TScalar:
-    """Tropical multiplication (rational + or * depending on the model).
+    """Tropical multiplication: the model's `mul` on finite payloads.
 
     Bottom absorbs everything, including Top; Top times anything
     non-Bottom is Top.
@@ -141,9 +158,7 @@ def t_mul(a: TScalar, b: TScalar) -> TScalar:
         return TScalar(a.model, _BOT)
     if a.kind == _TOP or b.kind == _TOP:
         return TScalar(a.model, _TOP)
-    if a.model is Model.MAX_PLUS:
-        return TScalar(a.model, _FIN, a.payload + b.payload)
-    return TScalar(a.model, _FIN, a.payload * b.payload)
+    return TScalar(a.model, _FIN, a.model.mul(a.payload, b.payload))
 
 
 def t_inv(a: TScalar) -> TScalar:
@@ -156,9 +171,7 @@ def t_inv(a: TScalar) -> TScalar:
         return TScalar(a.model, _TOP)
     if a.kind == _TOP:
         return TScalar(a.model, _BOT)
-    if a.model is Model.MAX_PLUS:
-        return TScalar(a.model, _FIN, -a.payload)
-    return TScalar(a.model, _FIN, 1 / a.payload)
+    return TScalar(a.model, _FIN, a.model.inv(a.payload))
 
 
 def t_div(a: TScalar, b: TScalar) -> TScalar:

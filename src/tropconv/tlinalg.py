@@ -7,19 +7,21 @@ cone one dimension up, then run the residuation (principal solution)
 test against the finite generators of that cone.
 
 Indices are 1-based throughout the public API, matching the notation of
-the file formats and the CLI.
+the file formats and the CLI.  Residuation computes on payloads, with
+None for Bottom.
 
-Vector coordinates are validated where they enter: `TVec(...)`,
-`TVec.of` and `parse_vector` check every coordinate's model and refuse
-Top.  Operations on vectors that are already valid check only what is
-new -- the scaling factor of `scale`, the appended value of `append`,
-the other operand's model and dimension in `join` -- and compute on
+Vector coordinates are validated where they enter: `TVec(...)` and
+`parse_vector` check every coordinate's model and refuse Top.
+Operations on vectors that are already valid check only what is new --
+the scaling factor of `scale`, the appended value of `append`, the
+other operand's model and dimension in `join` -- and compute on
 payloads, building their result through `_trusted_vec`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .semiring import (
@@ -29,7 +31,6 @@ from .semiring import (
     format_scalar_compact,
     parse_scalar,
     quote_token,
-    t_div,
     t_inv,
 )
 
@@ -48,18 +49,6 @@ class TVec:
     def __post_init__(self):
         for c in self.coords:
             _check_coord(self.model, c)
-
-    @staticmethod
-    def of(model: Model, values: Iterable) -> "TVec":
-        coords = []
-        for v in values:
-            if isinstance(v, TScalar):
-                coords.append(v)
-            elif isinstance(v, str):
-                coords.append(parse_scalar(v, model))
-            else:
-                coords.append(_coerce(model, v))
-        return TVec(model, tuple(coords))
 
     @staticmethod
     def zero(model: Model, n: int) -> "TVec":
@@ -86,18 +75,17 @@ class TVec:
 
     def scale(self, lam: TScalar) -> "TVec":
         """lam times each coordinate: Bottom stays Bottom, and a finite
-        payload gains lam's payload (max-plus) or is multiplied by it.
-        The unit leaves the vector as it is."""
+        payload is multiplied by lam's in the model.  The unit leaves
+        the vector as it is."""
         model = self.model
         _check_factor(model, lam)
         if lam.is_bottom:
             return TVec.zero(model, self.dim)
-        p, plus = lam.payload, model is Model.MAX_PLUS
-        if p == (0 if plus else 1):
+        p, mul = lam.payload, model.mul
+        if p == model.unit:
             return self
         return _trusted_vec(model, tuple(
-            c if c.is_bottom else TScalar(model, c.kind, c.payload + p if plus else c.payload * p)
-            for c in self.coords))
+            c if c.is_bottom else TScalar(model, c.kind, mul(c.payload, p)) for c in self.coords))
 
     def append(self, value: TScalar) -> "TVec":
         _check_coord(self.model, value)
@@ -138,15 +126,6 @@ def _trusted_vec(model: Model, coords: tuple[TScalar, ...]) -> TVec:
     return v
 
 
-def _coerce(model: Model, v) -> TScalar:
-    from fractions import Fraction
-
-    q = Fraction(v)
-    if q == 0 and model is Model.MAX_TIMES:
-        return TScalar.bottom(model)
-    return TScalar.finite(model, q)
-
-
 def _same_space(a: TVec, b: TVec) -> None:
     if a.model is not b.model:
         raise ValueError("vectors from different models")
@@ -183,63 +162,89 @@ def unit_vector(model: Model, i: int, n: int) -> TVec:
 
 @dataclass(frozen=True)
 class ConeGen:
-    """A cone given by finitely many generators (always contains zero)."""
+    """A cone given by finitely many generators (always contains zero).
+    Its sorted generators and their residuation form are built once, on
+    first use."""
 
     model: Model
     dim: int
     gens: frozenset[TVec]
 
+    def __post_init__(self):
+        for g in self.gens:
+            if g.model is not self.model or g.dim != self.dim:
+                raise DimensionMismatchError("generator does not match cone model/dim")
+
+    @cached_property
+    def sorted_gens(self) -> tuple[TVec, ...]:
+        return tuple(sorted(self.gens, key=TVec.sort_key))
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Each sorted generator's support as (index, inverse payload)."""
+        inv = self.model.inv
+        return tuple(tuple((k, inv(c.payload)) for k, c in enumerate(g.coords) if not c.is_bottom)
+                     for g in self.sorted_gens)
+
     @staticmethod
     def of(model: Model, dim: int, gens: Iterable[TVec]) -> "ConeGen":
-        gset = frozenset(gens)
-        for g in gset:
-            if g.model is not model or g.dim != dim:
-                raise DimensionMismatchError("generator does not match cone model/dim")
-        return ConeGen(model, dim, gset)
-
-    def sorted_gens(self) -> list[TVec]:
-        return sorted(self.gens, key=TVec.sort_key)
+        return ConeGen(model, dim, frozenset(gens))
 
 
 @dataclass(frozen=True)
 class ConeMembership:
+    """The principal solution; `lambdas` and `reconstruction` are built
+    when first read."""
+
     member: bool
-    lambdas: tuple[TScalar, ...]
-    reconstruction: TVec
-    gens: tuple[TVec, ...]
+    cone: ConeGen
+    _lams: tuple
+
+    @property
+    def gens(self) -> tuple[TVec, ...]:
+        return self.cone.sorted_gens
+
+    @cached_property
+    def lambdas(self) -> tuple[TScalar, ...]:
+        model = self.cone.model
+        return tuple(TScalar.bottom(model) if q is None else TScalar.finite(model, q)
+                     for q in self._lams)
+
+    @cached_property
+    def reconstruction(self) -> TVec:
+        combo = TVec.zero(self.cone.model, self.cone.dim)
+        for lam, g in zip(self.lambdas, self.gens):
+            combo = combo.join(g.scale(lam))
+        return combo
+
+
+def _principal(cone: ConeGen, p: list) -> tuple[list, bool]:
+    """(coefficients, member) of the principal solution for payloads p.
+
+    A generator's coefficient is its least ratio p_k / g_k, or Bottom
+    when its support leaves supp(p).  Their combination lies below p and
+    reaches p_k where some generator attains its least ratio at k, so p
+    is a member iff those k cover supp(p).
+    """
+    mul = cone.model.mul
+    lams, covered = [], set()
+    for column in cone._columns:
+        if not column or any(p[k] is None for k, _ in column):
+            lams.append(None)
+            continue
+        ratios = [(mul(p[k], g_inv), k) for k, g_inv in column]
+        lam = min(r for r, _ in ratios)
+        lams.append(lam)
+        covered.update(k for r, k in ratios if r == lam)
+    return lams, len(covered) == sum(q is not None for q in p)
 
 
 def cone_member_fg(x: TVec, cone: ConeGen) -> ConeMembership:
-    """Principal-solution membership test for a finitely generated cone.
-
-    For each generator g the greatest feasible coefficient is
-    min over supp(g) of x_k / g_k, or zero when supp(g) is not contained
-    in supp(x).  x belongs to the cone iff that principal combination
-    reproduces x exactly.
-    """
+    """Whether the principal solution for x reproduces x (`_principal`)."""
     if x.model is not cone.model or x.dim != cone.dim:
         raise DimensionMismatchError("vector does not match cone model/dim")
-    model = x.model
-    gens = tuple(cone.sorted_gens())
-    supp_x = support(x)
-    lambdas = []
-    for g in gens:
-        supp_g = support(g)
-        if not supp_g:
-            lambdas.append(TScalar.bottom(model))
-            continue
-        if not supp_g <= supp_x:
-            lambdas.append(TScalar.bottom(model))
-            continue
-        lam = None
-        for k in supp_g:
-            ratio = t_div(x.at(k), g.at(k))
-            lam = ratio if lam is None or ratio < lam else lam
-        lambdas.append(lam)
-    combo = TVec.zero(model, x.dim)
-    for lam, g in zip(lambdas, gens):
-        combo = combo.join(g.scale(lam))
-    return ConeMembership(combo == x, tuple(lambdas), combo, gens)
+    lams, member = _principal(cone, [c.payload for c in x.coords])
+    return ConeMembership(member, cone, tuple(lams))
 
 
 # -- (P, R)-decompositions ----------------------------------------------
@@ -254,13 +259,21 @@ class PRDecomposition:
     P: frozenset[TVec]
     R: frozenset[TVec]
 
+    def __post_init__(self):
+        for v in self.P | self.R:
+            if v.model is not self.model or v.dim != self.dim:
+                raise DimensionMismatchError("generator does not match decomposition model/dim")
+
+    @cached_property
+    def _lifted(self) -> ConeGen:
+        """The homogenized cone, built once, on first use."""
+        one, bot = TScalar.unit(self.model), TScalar.bottom(self.model)
+        gens = {p.append(one) for p in self.P} | {r.append(bot) for r in self.R}
+        return ConeGen(self.model, self.dim + 1, frozenset(gens))
+
     @staticmethod
     def of(model: Model, dim: int, P: Iterable[TVec], R: Iterable[TVec]) -> "PRDecomposition":
-        pset, rset = frozenset(P), frozenset(R)
-        for v in pset | rset:
-            if v.model is not model or v.dim != dim:
-                raise DimensionMismatchError("generator does not match decomposition model/dim")
-        return PRDecomposition(model, dim, pset, rset)
+        return PRDecomposition(model, dim, frozenset(P), frozenset(R))
 
     @property
     def is_empty_hull(self) -> bool:
@@ -273,10 +286,7 @@ def homogenize(d: PRDecomposition) -> ConeGen:
     P-generators get last coordinate 1, R-generators get last
     coordinate zero.
     """
-    one = TScalar.unit(d.model)
-    bot = TScalar.bottom(d.model)
-    gens = {p.append(one) for p in d.P} | {r.append(bot) for r in d.R}
-    return ConeGen.of(d.model, d.dim + 1, gens)
+    return d._lifted
 
 
 def section_unity(cone: ConeGen) -> PRDecomposition:
@@ -304,5 +314,4 @@ def pr_member(x: TVec, d: PRDecomposition) -> bool:
     """x in conv(P) + cone(R), via homogenization plus residuation."""
     if x.model is not d.model or x.dim != d.dim:
         raise DimensionMismatchError("vector does not match decomposition model/dim")
-    lifted = x.append(TScalar.unit(d.model))
-    return cone_member_fg(lifted, homogenize(d)).member
+    return _principal(d._lifted, [c.payload for c in x.coords] + [d.model.unit])[1]

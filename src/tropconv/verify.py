@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .semiring import InternalInconsistencyError, Model, TScalar, quote_token, t_inv, t_mul
@@ -100,32 +99,22 @@ class GridSpec:
             yield self.point(idx)
 
 
-def base_grid_payloads(model: Model) -> list[Fraction]:
-    if model is Model.MAX_TIMES:
-        return [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
-    return [Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
-
-
 def make_grid(
     model: Model, n: int, extra: Iterable[TScalar] = (), spanning: bool = True
 ) -> GridSpec:
-    """The standard grid values plus zero, augmented with extra finite values.
+    """Two to the powers -1..2 plus zero, augmented with extra finite values.
 
     With spanning=True the axis also holds one value strictly below and
     one strictly above everything else, so every threshold on it is
     exercised from both sides as well as exactly at its value.
     """
-    payloads = set(base_grid_payloads(model))
+    payloads = {model.two_power(k) for k in range(-1, 3)}
     for s in extra:
         if s.is_finite:
             payloads.add(s.payload)
     if spanning:
-        if model is Model.MAX_TIMES:
-            payloads.add(min(payloads) / 2)
-            payloads.add(max(payloads) * 2)
-        else:
-            payloads.add(min(payloads) - 1)
-            payloads.add(max(payloads) + 1)
+        payloads.add(model.mul(min(payloads), model.two_power(-1)))
+        payloads.add(model.mul(max(payloads), model.two))
     values = [TScalar.bottom(model)] + [
         TScalar.finite(model, q) for q in sorted(payloads)
     ]
@@ -142,11 +131,8 @@ def grid_for_spec(
 
 
 def closure_scalars(model: Model) -> list[TScalar]:
-    if model is Model.MAX_TIMES:
-        payloads = ["1/4", "1/2", "1", "2", "4"]
-    else:
-        payloads = ["-2", "-1", "0", "1", "2"]
-    return [TScalar.finite(model, p) for p in payloads]
+    """Two to the powers -2..2."""
+    return [TScalar.finite(model, model.two_power(k)) for k in range(-2, 3)]
 
 
 @dataclass(frozen=True)
@@ -369,14 +355,10 @@ def segment_coefficients(model: Model, k: int) -> list[tuple[TScalar, TScalar]]:
         raise ValueError("k must be positive")
     one = TScalar.unit(model)
     bot = TScalar.bottom(model)
-    half = TScalar.finite(model, "-1") if model is Model.MAX_PLUS else TScalar.finite(model, "1/2")
     pairs = [(one, one), (one, bot), (bot, one)]
-    step = one
-    while len(pairs) < k:
-        step = t_mul(step, half)
-        pairs.append((one, step))
-        if len(pairs) < k:
-            pairs.append((step, one))
+    for s in range(1, k // 2 + 1):
+        step = TScalar.finite(model, model.two_power(-s))
+        pairs += [(one, step), (step, one)]
     return pairs[:k]
 
 
@@ -530,12 +512,12 @@ def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
     """Grid membership in conv(P)+cone(R) equals 'every sector at the point
     meets the member set', with the if-direction certified by an exact
     witness assembly at the lifted level."""
-    members = [x for x in grid.points() if pr_member(x, d)]
+    table = [(y, pr_member(y, d)) for y in grid.points()]
+    members = [x for x, inside in table if inside]
     cases = 0
     one = TScalar.unit(grid.model)
-    for y in grid.points():
+    for y, is_member in table:
         cases += 1
-        is_member = pr_member(y, d)
         if y.is_zero():
             meets = any(w.is_zero() for w in members)
             if is_member != meets:

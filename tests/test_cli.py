@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MP, MT
 import tropconv
-from tropconv.cli import MAX_GRID_POINTS, main
+from tropconv.cli import MAX_GRID_POINTS, MAX_SECTOR_DIM, main
 from tropconv.hemispace import (
     AffineHemispace,
     SpecError,
@@ -429,6 +429,29 @@ def test_cli_sectors(capsys):
     assert main(["sectors", "test", "--base", "[0,0]", "--type", "1",
                  "--point", "[1,1]"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [["--type", "1"], ["--type", "1", "--quasi"],
+                                   ["--type", "1", "--semispace"], ["--type", "n+1"]],
+                         ids=["sector", "quasi", "semispace", "n+1"])
+def test_cli_sectors_test_rejects_a_wrong_length_point(capsys, extra):
+    # Exit 1 would read as OUT; a point of the wrong length is a usage error.
+    assert main(["sectors", "test", "--base", "[1,1]", "--point", "[1,1,1]", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: dimension mismatch: 3 vs 2\n"
+
+
+@pytest.mark.parametrize("quasi", [[], ["--quasi"]], ids=["sector", "quasi"])
+def test_cli_sectors_bounds_the_base_dimension(capsys, quasi):
+    base = "[" + ",".join(["1"] * 3000) + "]"
+    start = time.monotonic()
+    assert main(["sectors", "gens", "--base", base, "--type", "1", *quasi]) == 2
+    assert time.monotonic() - start < 2
+    err = capsys.readouterr().err
+    assert "3000 coordinates" in err and len(err.encode()) < 300
+    bound = "[" + ",".join(["1"] * MAX_SECTOR_DIM) + "]"
+    assert main(["sectors", "test", "--base", bound, "--type", "1", "--point", bound]) == 0
+    assert capsys.readouterr().out == "IN\n"
 
 
 def test_cli_verify(worked_file, capsys):

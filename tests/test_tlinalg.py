@@ -150,7 +150,7 @@ def test_section_scaling_invariance():
 
 
 def test_vector_literals():
-    assert parse_vector("[2, 0, 1]", MT) == TVec.of(MT, ["2", "0", "1"])
+    assert parse_vector("[2, 0, 1]", MT) == TVec(MT, (sc("2"), TScalar.bottom(MT), sc("1")))
     assert parse_vector("[zero, -1]", MP).at(1).is_bottom
     with pytest.raises(ValueError):
         parse_vector("2, 0", MT)

@@ -16,11 +16,11 @@ from tropconv.hemispace import (
     other_side,
     rank_one_check,
 )
-from tropconv.sectors import SectorId, quasisector_gens, sector_contains
+from tropconv.sectors import SectorId, assemble_from_witnesses, quasisector_gens, sector_contains
 from tropconv.semiring import InternalInconsistencyError, ModelMismatchError, TScalar
 from tropconv import verify
 from tropconv.specio import canonical_text
-from tropconv.tlinalg import ConeGen, PRDecomposition, cone_member_fg, support
+from tropconv.tlinalg import ConeGen, PRDecomposition, cone_member_fg, pr_member, support
 from tropconv.verify import (
     GridSpec,
     Verdict,
@@ -146,10 +146,18 @@ def _reference_sector_union(obj, grid):
     return verify.Verdict("sector-union", True, cases)
 
 
+def _bounds_the_lift(h: AffineHemispace) -> bool:
+    """Whether some lifted threshold sigma(n+1, j) is finite, so that the
+    affine side is not a cone."""
+    return any(b.threshold.is_finite for (i, _), b in h.base.sigma.items() if i == h.base.n)
+
+
 def _seeded_pairs():
     """Seeded conical specs (n = 2..4) and affine pairs (ambient 1..3) in
-    both models, each with the grid through its thresholds."""
-    rng = random.Random(21)
+    both models, each with the grid through its thresholds.  Per model and
+    ambient dimension one more affine pair is drawn, from its own seed,
+    until its lifted row has a finite threshold."""
+    rng, bounded = random.Random(21), random.Random(22)
     for model in (MT, MP):
         for n in (2, 3, 4):
             for _ in range(2 if n < 4 else 1):
@@ -158,15 +166,21 @@ def _seeded_pairs():
         for ambient in (1, 2, 3):
             h = random_valid_affine(rng, model, ambient)
             yield h, grid_for_spec(h.base, ambient, spanning=ambient < 3)
+            h = random_valid_affine(bounded, model, ambient)
+            while not _bounds_the_lift(h):
+                h = random_valid_affine(bounded, model, ambient)
+            yield h, grid_for_spec(h.base, ambient, spanning=ambient < 3)
 
 
 def test_sector_union_matches_the_per_point_reference():
-    kinds = set()
+    kinds, bounded = set(), 0
     for obj, grid in _seeded_pairs():
         for side in (obj, other_side(obj)):
             assert sector_union_check(side, grid) == _reference_sector_union(side, grid)
             kinds.add(isinstance(side, AffineHemispace))
+        bounded += isinstance(obj, AffineHemispace) and _bounds_the_lift(obj)
     assert kinds == {False, True}
+    assert bounded >= 6
 
 
 def test_sector_union_tests_each_generator_once_per_side(monkeypatch):
@@ -366,16 +380,15 @@ def test_segment_negative_control_off_the_grid():
 
 def test_closure_and_segments_match_the_references():
     """Seeded conical pairs (n = 2..4) and affine pairs (ambient 1..3) in
-    both models, both closure modes.  The affine pairs of `_seeded_pairs`
-    bound no lifted coordinate, so their sides are cones; each bounded
-    pair added here has a side that scaling leaves."""
+    both models, both closure modes.  Each affine pair that bounds its
+    lift, in `_seeded_pairs` and the six added here, has a side that
+    scaling leaves."""
     instances = list(_seeded_pairs())
     rng = random.Random(4)
     for model in (MT, MP):
         for ambient in (1, 2, 3):
             h = random_valid_affine(rng, model, ambient)
-            while not any(b.threshold.is_finite for (i, _), b in h.base.sigma.items()
-                          if i == ambient + 1):
+            while not _bounds_the_lift(h):
                 h = random_valid_affine(rng, model, ambient)
             instances.append((h, grid_for_spec(h.base, ambient)))
     scaling_failures = 0
@@ -531,6 +544,61 @@ def test_sector_union_and_multiorder_negative_control(monkeypatch):
     bad = multiorder_invariant_check(d, grid2)
     assert not bad.passed
     assert bad.counterexample == "y=[1, 0]: member=True but sector coverage=False"
+
+
+def _reference_multiorder(d: PRDecomposition, grid: GridSpec, contains=sector_contains) -> Verdict:
+    """multiorder_invariant_check deciding each grid point twice: once to
+    collect the members, and again as the point y under test."""
+    members = [x for x in grid.points() if pr_member(x, d)]
+    cases = 0
+    one = TScalar.unit(grid.model)
+    for y in grid.points():
+        cases += 1
+        is_member = pr_member(y, d)
+        if y.is_zero():
+            meets = any(w.is_zero() for w in members)
+            if is_member != meets:
+                return Verdict("multiorder", False, cases, f"y={y} (zero case)")
+            continue
+        witnesses = {}
+        meets = True
+        for i in sorted(support(y)) + [grid.n + 1]:
+            sid = SectorId.affine(y) if i == grid.n + 1 else SectorId.of_support(y, i)
+            w = next((w for w in members if contains(sid, w)), None)
+            if w is None:
+                meets = False
+                break
+            witnesses[i] = w.append(one)
+        if is_member != meets:
+            return Verdict("multiorder", False, cases,
+                           f"y={y}: member={is_member} but sector coverage={meets}")
+        if meets:
+            assemble_from_witnesses(y.append(one), witnesses)
+    return Verdict("multiorder", True, cases)
+
+
+def test_multiorder_decides_each_point_once(monkeypatch):
+    calls = []
+    decide = verify.pr_member
+    monkeypatch.setattr(verify, "pr_member", lambda x, d: calls.append(x) or decide(x, d))
+    rng = random.Random(31)
+    for model in (MT, MP):
+        for n in (2, 3):
+            grid = make_grid(model, n, spanning=False)
+            for _ in range(4):
+                d = random_pr(rng, model, n)
+                del calls[:]
+                got = multiorder_invariant_check(d, grid)
+                assert len(calls) == grid.size and len(set(calls)) == grid.size
+                assert got == _reference_multiorder(d, grid) and got.passed
+    # A broken sector predicate fails both the same way.
+    def broken(sid, w):
+        return w != sid.base and sector_contains(sid, w)
+
+    monkeypatch.setattr(verify, "sector_contains", broken)
+    d = PRDecomposition.of(MT, 2, {vec("[1, 0]")}, set())
+    bad = multiorder_invariant_check(d, make_grid(MT, 2))
+    assert not bad.passed and bad == _reference_multiorder(d, make_grid(MT, 2), broken)
 
 
 def test_run_properties_bundle_and_determinism():
