@@ -345,9 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help='base point, e.g. "[1, 1]"')
     p.add_argument("--type", required=True, help='type index (1-based) or "n+1"')
     p.add_argument("--point", default=None, help="point to test (test action)")
-    p.add_argument("--quasi", action="store_true", help="use the conical variant")
-    p.add_argument("--semispace", action="store_true",
-                   help="test the complement (semispace) instead")
+    variant = p.add_mutually_exclusive_group()
+    variant.add_argument("--quasi", action="store_true", help="use the conical variant")
+    variant.add_argument("--semispace", action="store_true",
+                         help="test the complement (semispace) instead")
     p.set_defaults(fn=cmd_sectors)
 
     p = sub.add_parser("verify", help="run brute-force property checks on a spec")
@@ -367,6 +368,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sectors" and args.action == "test" and args.point is None:
         parser.error("sectors test requires --point")
+    if args.command == "sectors" and args.action == "gens" and args.semispace:
+        parser.error("sectors gens has no --semispace form")
     try:
         return args.fn(args)
     except CliError as exc:

@@ -26,14 +26,13 @@ from typing import Iterable, Mapping, Optional, Union
 from .semiring import (
     InternalInconsistencyError,
     Model,
+    ModelMismatchError,
     TScalar,
     format_scalar,
-    t_add,
     t_inv,
-    t_max,
     t_mul,
 )
-from .tlinalg import DimensionMismatchError, TVec, unit_vector
+from .tlinalg import DimensionMismatchError, TVec, _vec, unit_vector
 
 
 class SpecError(ValueError):
@@ -516,7 +515,7 @@ def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKer
     if spec._kernel is None:
         spec._kernel = _compile_kernel(spec)
     mul, kernels = spec._kernel
-    p = [c.payload for c in x.coords]
+    p = x.p
     for lead in kernels:
         if any(p[i] is not None for i, _ in lead.rows):
             break
@@ -556,10 +555,9 @@ def conical_member_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
     if lead is None:
         return MembershipTrace(member, reason)
     reduced = x
-    if any(not x.coords[k].is_bottom for k in lead.dropped):
-        bot = TScalar.bottom(spec.model)
-        reduced = TVec(spec.model, tuple(
-            bot if k in lead.dropped else c for k, c in enumerate(x.coords)
+    if any(x.p[k] is not None for k in lead.dropped):
+        reduced = _vec(spec.model, tuple(
+            None if k in lead.dropped else q for k, q in enumerate(x.p)
         ))
     return MembershipTrace(member, reason, lead.index, reduced)
 
@@ -616,16 +614,22 @@ class HalfspaceForm:
     def evaluate(self, x: TVec) -> bool:
         if x.dim != self.n:
             raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {self.n}")
-        if any(not x.at(k).is_bottom for k in self.L):
+        if x.model is not self.model:
+            raise ModelMismatchError(f"cannot combine {x.model.value} with {self.model.value}")
+        p, mul = x.p, self.model.mul
+        if any(p[k - 1] is not None for k in self.L):
             return False
-        lhs = t_max((t_mul(self.gamma[j], x.at(j)) for j in self.J), self.model)
-        rhs = t_max((t_mul(self.beta[i], x.at(i)) for i in self.I), self.model)
-        if self.affine:
-            if self.alpha is not None:
-                lhs = t_add(lhs, self.alpha)
-            if self.delta is not None:
-                rhs = t_add(rhs, self.delta)
-        return lhs <= rhs
+
+        def side(coeffs, idx, offset) -> Optional[Fraction]:
+            """max_k coeffs_k x_k (+ offset) on payloads; None is Bottom."""
+            terms = [mul(coeffs[k].payload, p[k - 1]) for k in idx if p[k - 1] is not None]
+            if self.affine and offset is not None and offset.is_finite:
+                terms.append(offset.payload)
+            return max(terms, default=None)
+
+        lhs = side(self.gamma, self.J, self.alpha)
+        rhs = side(self.beta, self.I, self.delta)
+        return lhs is None or (rhs is not None and lhs <= rhs)
 
     def pretty(self) -> str:
         def side(coeffs, idx, offset):

@@ -8,10 +8,10 @@ family, so each piece is a window box clipped by rational halfplanes.
 Boundary segments are drawn solid where the shaded side owns them and
 dashed where the complement does.
 
-The same exact data answers point classification queries, which is what
-the tests compare against the structural membership predicates; the two
-routes are independent (Minkowski-sum geometry here, class reduction
-there).
+The tests classify points from the same exact data (`PlaneGeometry`)
+and compare the answers with the structural membership predicates; the
+two routes are independent (Minkowski-sum geometry here, class
+reduction in `hemispace`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Optional
 
 from .hemispace import AffineHemispace, BoundarySet, SpecError, SpecLike
 from .semiring import Model, TScalar, t_inv, t_mul
-from .tlinalg import TVec
 
 REGION_FILL = "#7fb2e5"
 COMPLEMENT_FILL = "#f6e8c9"
@@ -61,30 +60,6 @@ class PlaneGeometry:
     lin: Optional[BoundarySet]
     transposed: bool
     flip: bool
-
-    def zero_side_member(self, x: TVec) -> bool:
-        if x.dim != 2:
-            raise ValueError("plane geometry classifies 2-d points")
-        a, b = x.at(1), x.at(2)
-        if self.transposed:
-            a, b = b, a
-        if self.kind == "rect":
-            return self.A.contains(a) and self.B.contains(b)
-        return self.const.contains(b) or _scaled_contains(self.lin, a, b)
-
-    def shaded_member(self, x: TVec) -> bool:
-        inside = self.zero_side_member(x)
-        return not inside if self.flip else inside
-
-
-def _scaled_contains(lin: BoundarySet, a: TScalar, b: TScalar) -> bool:
-    """b in a * lin (the down-set scaled by a)."""
-    if a.is_bottom:
-        return b.is_bottom
-    if lin.threshold.is_top:
-        return True
-    bound = t_mul(a, lin.threshold)
-    return b <= bound if lin.closed else b < bound
 
 
 def build_geometry(obj: SpecLike) -> PlaneGeometry:

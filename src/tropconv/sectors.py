@@ -16,21 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .semiring import (
-    InternalInconsistencyError,
-    TScalar,
-    t_add,
-    t_div,
-    t_inv,
-    t_mul,
-)
+from .semiring import InternalInconsistencyError
 from .tlinalg import (
     ConeGen,
     DimensionMismatchError,
     PRDecomposition,
     TVec,
+    _times,
+    _vec,
     support,
-    unit_vector,
 )
 
 
@@ -75,7 +69,7 @@ def _top_ratio(s: SectorId, x: TVec) -> Optional[tuple]:
     if x.dim != s.base.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {s.base.dim}")
     mul, inv = x.model.mul, x.model.inv
-    pairs = [(a.payload, b.payload) for a, b in zip(x.coords, s.base.coords)]
+    pairs = list(zip(x.p, s.base.p))
     if any(a is not None and b is None for a, b in pairs):
         return None
     r = [None if a is None else mul(a, inv(b)) for a, b in pairs]
@@ -111,9 +105,10 @@ def semispace_contains(s: SectorId, x: TVec) -> bool:
 def quasisector_gen(y: TVec, i: int, j: int) -> TVec:
     """The generator e_i + (y_j / y_i) e_j of the type-i quasisector at y;
     it depends on y only through y_i and y_j."""
-    coords = list(unit_vector(y.model, i, y.dim).coords)
-    coords[j - 1] = t_add(coords[j - 1], t_div(y.at(j), y.at(i)))  # touches coordinate j only
-    return TVec(y.model, tuple(coords))
+    model, y_j, p = y.model, y.p[j - 1], [None] * y.dim
+    p[j - 1] = None if y_j is None else model.mul(y_j, model.inv(y.p[i - 1]))
+    p[i - 1] = model.unit  # for j = i the ratio is the unit too
+    return _vec(model, tuple(p))
 
 
 def quasisector_gens(s: SectorId) -> ConeGen:
@@ -132,48 +127,11 @@ def sector_pr(s: SectorId) -> PRDecomposition:
     with no rays.
     """
     y, n, model = s.base, s.base.dim, s.base.model
-    if s.is_affine_type:
-        P = {TVec.zero(model, n)}
-        for j in support(y):
-            P.add(unit_vector(model, j, n).scale(y.at(j)))
-        return PRDecomposition.of(model, n, P, set())
-    i = s.type_index
-    P = {unit_vector(model, i, n).scale(y.at(i))}
-    return PRDecomposition.of(model, n, P, quasisector_gens(s).gens)
-
-
-def common_point(x: TVec, y: TVec, i: int, affine: bool) -> TVec:
-    """A nonzero point in the type-i (quasi)sectors of both x and y.
-
-    Conical case: z_j = min(x_j / x_i, y_j / y_i), which lies in both
-    quasisectors.  Affine case: the same construction on the lifted
-    points (x,1), (y,1) -- with i = n+1 allowed -- rescaled back to the
-    unit slice; the result lies in both sectors.
-    """
-    if x.model is not y.model:
-        raise ValueError("points use different models")
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    n = x.dim
-    if affine:
-        one = TScalar.unit(x.model)
-        zl = _conical_common(x.append(one), y.append(one), n + 1 if i == n + 1 else i)
-        return zl.scale(t_inv(zl.at(n + 1))).drop_last()
-    return _conical_common(x, y, i)
-
-
-def _conical_common(x: TVec, y: TVec, i: int) -> TVec:
-    common = support(x) & support(y)
-    if not common:
-        raise InvalidSectorError("points have no common support")
-    if i not in common:
-        raise InvalidSectorError(f"type index {i} is not in the common support {sorted(common)}")
-    xi_inv = t_inv(x.at(i))
-    yi_inv = t_inv(y.at(i))
-    coords = [
-        min(t_mul(xi_inv, x.at(j)), t_mul(yi_inv, y.at(j))) for j in range(1, x.dim + 1)
-    ]
-    return TVec(x.model, tuple(coords))
+    hull = support(y) if s.is_affine_type else {s.type_index}
+    P = {_vec(model, tuple(q if k == i else None for k, q in enumerate(y.p, 1))) for i in hull}
+    if s.is_affine_type:  # y_j e_j for j in supp(y), and zero
+        return PRDecomposition.of(model, n, P | {TVec.zero(model, n)}, set())
+    return PRDecomposition.of(model, n, P, quasisector_gens(s).gens)  # y_i e_i
 
 
 class WitnessError(ValueError):
@@ -191,7 +149,8 @@ def assemble_from_witnesses(y: TVec, witnesses: Mapping[int, TVec]) -> TVec:
     """
     if y.is_zero():
         raise WitnessError("cannot assemble the zero vector from sector witnesses")
-    acc = TVec.zero(y.model, y.dim)
+    model = y.model
+    acc = TVec.zero(model, y.dim)
     for i in sorted(support(y)):
         try:
             w = witnesses[i]
@@ -202,11 +161,12 @@ def assemble_from_witnesses(y: TVec, witnesses: Mapping[int, TVec]) -> TVec:
         sid = SectorId.of_support(y, i)
         if not quasisector_contains(sid, w):
             raise WitnessError(f"witness for type {i} is outside the quasisector")
-        if w.at(i).is_bottom:
+        w_i = w.p[i - 1]
+        if w_i is None:
             raise InternalInconsistencyError(
                 f"nonzero quasisector witness with zero pivot coordinate {i}"
             )
-        acc = acc.join(w.scale(t_div(y.at(i), w.at(i))))
+        acc = acc.join(_vec(model, _times(model, w.p, model.mul(y.p[i - 1], model.inv(w_i)))))
     if acc != y:
         raise InternalInconsistencyError("witness assembly did not reproduce the base point")
     return acc

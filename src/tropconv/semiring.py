@@ -96,6 +96,11 @@ class TScalar:
     def unit(model: Model) -> "TScalar":
         return TScalar(model, _FIN, model.unit)
 
+    @staticmethod
+    def of_payload(model: Model, q: Fraction | None) -> "TScalar":
+        """The scalar of a valid vector payload; None is Bottom."""
+        return TScalar(model, _BOT) if q is None else TScalar(model, _FIN, q)
+
     # -- predicates ----------------------------------------------------
 
     @property
@@ -172,19 +177,6 @@ def t_inv(a: TScalar) -> TScalar:
     if a.kind == _TOP:
         return TScalar(a.model, _BOT)
     return TScalar(a.model, _FIN, a.model.inv(a.payload))
-
-
-def t_div(a: TScalar, b: TScalar) -> TScalar:
-    """a * inv(b); only used with Finite b."""
-    return t_mul(a, t_inv(b))
-
-
-def t_max(values, model: Model) -> TScalar:
-    """Tropical sum of an iterable (Bottom for the empty sum)."""
-    acc = TScalar.bottom(model)
-    for v in values:
-        acc = t_add(acc, v)
-    return acc
 
 
 # -- textual forms -----------------------------------------------------

@@ -10,19 +10,19 @@ Indices are 1-based throughout the public API, matching the notation of
 the file formats and the CLI.  Residuation computes on payloads, with
 None for Bottom.
 
-Vector coordinates are validated where they enter: `TVec(...)` and
-`parse_vector` check every coordinate's model and refuse Top.
-Operations on vectors that are already valid check only what is new --
-the scaling factor of `scale`, the appended value of `append`, the
-other operand's model and dimension in `join` -- and compute on
-payloads, building their result through `_trusted_vec`.
+A vector stores one payload per coordinate, None for Bottom (Top never
+occurs in a point).  `TVec(...)` and `parse_vector` check each scalar's
+model and refuse Top; `coords` and `at` are the scalar view.  Operations
+check only what is new -- the factor of `scale`, the value `append`
+adds, the other operand of `join` -- and compute on payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .semiring import (
     Model,
@@ -31,7 +31,6 @@ from .semiring import (
     format_scalar_compact,
     parse_scalar,
     quote_token,
-    t_inv,
 )
 
 
@@ -39,24 +38,34 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TVec:
-    """Fixed-dimension vector over R_max (coordinates never Top)."""
+    """Fixed-dimension vector over R_max: a payload per coordinate, None
+    for Bottom."""
 
     model: Model
-    coords: tuple[TScalar, ...]
+    p: tuple[Optional[Fraction], ...]
 
-    def __post_init__(self):
-        for c in self.coords:
-            _check_coord(self.model, c)
+    def __init__(self, model: Model, coords: tuple[TScalar, ...]):
+        for c in coords:
+            if c.model is not model:
+                raise ValueError("vector coordinates must share the vector's model")
+            if c.is_top:
+                raise ValueError("Top is not a vector coordinate")
+        self.__dict__.update(model=model, p=tuple(c.payload for c in coords))
 
     @staticmethod
     def zero(model: Model, n: int) -> "TVec":
-        return _trusted_vec(model, (TScalar.bottom(model),) * n)
+        return _vec(model, (None,) * n)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.p)
+
+    @cached_property
+    def coords(self) -> tuple[TScalar, ...]:
+        """The coordinates as scalars: a view of `p`, built on first use."""
+        return tuple(TScalar.of_payload(self.model, q) for q in self.p)
 
     def at(self, i: int) -> TScalar:
         """1-based coordinate access."""
@@ -65,13 +74,13 @@ class TVec:
         return self.coords[i - 1]
 
     def is_zero(self) -> bool:
-        return all(c.is_bottom for c in self.coords)
+        return all(q is None for q in self.p)
 
     def join(self, other: "TVec") -> "TVec":
-        """Coordinatewise tropical sum: the larger coordinate by `_key`."""
+        """Coordinatewise tropical sum: the larger payload, Bottom below all."""
         _same_space(self, other)
-        return _trusted_vec(self.model, tuple(
-            b if a._key() <= b._key() else a for a, b in zip(self.coords, other.coords)))
+        return _vec(self.model, tuple(
+            b if a is None else a if b is None or a > b else b for a, b in zip(self.p, other.p)))
 
     def scale(self, lam: TScalar) -> "TVec":
         """lam times each coordinate: Bottom stays Bottom, and a finite
@@ -81,31 +90,35 @@ class TVec:
         _check_factor(model, lam)
         if lam.is_bottom:
             return TVec.zero(model, self.dim)
-        p, mul = lam.payload, model.mul
-        if p == model.unit:
+        if lam.payload == model.unit:
             return self
-        return _trusted_vec(model, tuple(
-            c if c.is_bottom else TScalar(model, c.kind, mul(c.payload, p)) for c in self.coords))
+        return _vec(model, _times(model, self.p, lam.payload))
 
     def append(self, value: TScalar) -> "TVec":
-        _check_coord(self.model, value)
-        return _trusted_vec(self.model, self.coords + (value,))
+        return _vec(self.model, self.p + TVec(self.model, (value,)).p)
 
     def drop_last(self) -> "TVec":
-        return _trusted_vec(self.model, self.coords[:-1])
+        return _vec(self.model, self.p[:-1])
 
     def sort_key(self):
-        return tuple(c._key() for c in self.coords)
+        """Bottom first, then by payload, coordinate by coordinate."""
+        return tuple((0, 0) if q is None else (1, q) for q in self.p)
 
     def __str__(self) -> str:
         return "[" + ", ".join(format_scalar_compact(c) for c in self.coords) + "]"
 
 
-def _check_coord(model: Model, c: TScalar) -> None:
-    if c.model is not model:
-        raise ValueError("vector coordinates must share the vector's model")
-    if c.is_top:
-        raise ValueError("Top is not a vector coordinate")
+def _vec(model: Model, p: tuple) -> TVec:
+    """A vector from payloads already known to be valid for `model`."""
+    v = object.__new__(TVec)
+    v.__dict__.update(model=model, p=p)  # written directly: the dataclass is frozen
+    return v
+
+
+def _times(model: Model, p: tuple, c: Fraction) -> tuple:
+    """The payloads p times the finite payload c; Bottom stays Bottom."""
+    mul = model.mul
+    return tuple(None if q is None else mul(q, c) for q in p)
 
 
 def _check_factor(model: Model, lam: TScalar) -> None:
@@ -114,16 +127,6 @@ def _check_factor(model: Model, lam: TScalar) -> None:
         raise ValueError("Top is not a vector scaling factor")
     if lam.model is not model:
         raise ModelMismatchError(f"cannot combine {lam.model.value} with {model.value}")
-
-
-def _trusted_vec(model: Model, coords: tuple[TScalar, ...]) -> TVec:
-    """A vector from coordinates already known to be valid for `model`;
-    skips the per-coordinate checks of `TVec.__post_init__`."""
-    v = object.__new__(TVec)
-    fields = v.__dict__  # written directly: the dataclass is frozen
-    fields["model"] = model
-    fields["coords"] = coords
-    return v
 
 
 def _same_space(a: TVec, b: TVec) -> None:
@@ -146,15 +149,15 @@ def parse_vector(text: str, model: Model) -> TVec:
 
 def support(x: TVec) -> frozenset[int]:
     """1-based indices of the non-Bottom coordinates."""
-    return frozenset(i for i, c in enumerate(x.coords, start=1) if not c.is_bottom)
+    return frozenset(i for i, q in enumerate(x.p, start=1) if q is not None)
 
 
 def unit_vector(model: Model, i: int, n: int) -> TVec:
     if not 1 <= i <= n:
         raise IndexError(f"unit index {i} out of range 1..{n}")
-    coords = [TScalar.bottom(model)] * n
-    coords[i - 1] = TScalar.unit(model)
-    return TVec(model, tuple(coords))
+    p = [None] * n
+    p[i - 1] = model.unit
+    return _vec(model, tuple(p))
 
 
 # -- finitely generated cones and the residuation membership test -------
@@ -183,7 +186,7 @@ class ConeGen:
     def _columns(self) -> tuple:
         """Each sorted generator's support as (index, inverse payload)."""
         inv = self.model.inv
-        return tuple(tuple((k, inv(c.payload)) for k, c in enumerate(g.coords) if not c.is_bottom)
+        return tuple(tuple((k, inv(q)) for k, q in enumerate(g.p) if q is not None)
                      for g in self.sorted_gens)
 
     @staticmethod
@@ -206,9 +209,7 @@ class ConeMembership:
 
     @cached_property
     def lambdas(self) -> tuple[TScalar, ...]:
-        model = self.cone.model
-        return tuple(TScalar.bottom(model) if q is None else TScalar.finite(model, q)
-                     for q in self._lams)
+        return tuple(TScalar.of_payload(self.cone.model, q) for q in self._lams)
 
     @cached_property
     def reconstruction(self) -> TVec:
@@ -218,7 +219,7 @@ class ConeMembership:
         return combo
 
 
-def _principal(cone: ConeGen, p: list) -> tuple[list, bool]:
+def _principal(cone: ConeGen, p: tuple) -> tuple[list, bool]:
     """(coefficients, member) of the principal solution for payloads p.
 
     A generator's coefficient is its least ratio p_k / g_k, or Bottom
@@ -243,7 +244,7 @@ def cone_member_fg(x: TVec, cone: ConeGen) -> ConeMembership:
     """Whether the principal solution for x reproduces x (`_principal`)."""
     if x.model is not cone.model or x.dim != cone.dim:
         raise DimensionMismatchError("vector does not match cone model/dim")
-    lams, member = _principal(cone, [c.payload for c in x.coords])
+    lams, member = _principal(cone, x.p)
     return ConeMembership(member, cone, tuple(lams))
 
 
@@ -267,17 +268,13 @@ class PRDecomposition:
     @cached_property
     def _lifted(self) -> ConeGen:
         """The homogenized cone, built once, on first use."""
-        one, bot = TScalar.unit(self.model), TScalar.bottom(self.model)
-        gens = {p.append(one) for p in self.P} | {r.append(bot) for r in self.R}
-        return ConeGen(self.model, self.dim + 1, frozenset(gens))
+        m, one = self.model, (self.model.unit,)
+        gens = {_vec(m, x.p + one) for x in self.P} | {_vec(m, r.p + (None,)) for r in self.R}
+        return ConeGen(m, self.dim + 1, frozenset(gens))
 
     @staticmethod
     def of(model: Model, dim: int, P: Iterable[TVec], R: Iterable[TVec]) -> "PRDecomposition":
         return PRDecomposition(model, dim, frozenset(P), frozenset(R))
-
-    @property
-    def is_empty_hull(self) -> bool:
-        return not self.P
 
 
 def homogenize(d: PRDecomposition) -> ConeGen:
@@ -299,19 +296,18 @@ def section_unity(cone: ConeGen) -> PRDecomposition:
     """
     if cone.dim < 2:
         raise DimensionMismatchError("section needs dimension at least 2")
-    P, R = set(), set()
+    model, P, R = cone.model, set(), set()
     for g in cone.gens:
-        mu = g.at(cone.dim)
-        head = g.drop_last()
-        if mu.is_bottom:
-            R.add(head)
+        *head, mu = g.p
+        if mu is None:
+            R.add(_vec(model, tuple(head)))
         else:
-            P.add(head.scale(t_inv(mu)))
-    return PRDecomposition.of(cone.model, cone.dim - 1, P, R)
+            P.add(_vec(model, _times(model, head, model.inv(mu))))
+    return PRDecomposition.of(model, cone.dim - 1, P, R)
 
 
 def pr_member(x: TVec, d: PRDecomposition) -> bool:
     """x in conv(P) + cone(R), via homogenization plus residuation."""
     if x.model is not d.model or x.dim != d.dim:
         raise DimensionMismatchError("vector does not match decomposition model/dim")
-    return _principal(d._lifted, [c.payload for c in x.coords] + [d.model.unit])[1]
+    return _principal(d._lifted, x.p + (d.model.unit,))[1]

@@ -59,7 +59,8 @@ from .tlinalg import (
     PRDecomposition,
     TVec,
     _check_factor,
-    _trusted_vec,
+    _times,
+    _vec,
     cone_member_fg,
     pr_member,
     support,
@@ -92,7 +93,7 @@ class GridSpec:
 
     def point(self, idx: Sequence[int]) -> TVec:
         # The values were checked once, in __post_init__.
-        return _trusted_vec(self.model, tuple(self.values[k] for k in idx))
+        return _vec(self.model, tuple(self.values[k].payload for k in idx))
 
     def points(self) -> Iterable[TVec]:
         for idx in itertools.product(range(len(self.values)), repeat=self.n):
@@ -216,21 +217,21 @@ class _ExtendedAxis:
 
     def __init__(self, member: MemberFn, grid: GridSpec,
                  table: dict[tuple[int, ...], bool], factors: Iterable[TScalar]):
-        model, values = grid.model, grid.values
+        model, values = grid.model, [v.payload for v in grid.values]
         products = {}
         for c in factors:
             _check_factor(model, c)
-            products[c] = [t_mul(v, c) for v in values]
-        by_key = {v._key(): v for v in itertools.chain(values, *products.values())}
-        keys = sorted(by_key)
-        where = {key: a for a, key in enumerate(keys)}
-        self.model, self.axis, self._member = model, [by_key[key] for key in keys], member
-        self.maps = {c: [where[v._key()] for v in row] for c, row in products.items()}
-        pos = [where[v._key()] for v in values]
+            products[c] = [None] * len(values) if c.is_bottom else _times(model, values, c.payload)
+        axis = sorted(set(itertools.chain(values, *products.values())),
+                      key=lambda q: (0, 0) if q is None else (1, q))
+        where = {q: a for a, q in enumerate(axis)}
+        self.model, self.axis, self._member = model, axis, member
+        self.maps = {c: [where[q] for q in row] for c, row in products.items()}
+        pos = [where[q] for q in values]
         self._memo = {tuple(pos[k] for k in idx): inside for idx, inside in table.items()}
 
     def point(self, t: tuple[int, ...]) -> TVec:
-        return _trusted_vec(self.model, tuple(self.axis[a] for a in t))
+        return _vec(self.model, tuple(self.axis[a] for a in t))
 
     def member(self, t: tuple[int, ...]) -> bool:
         inside = self._memo.get(t)
@@ -467,7 +468,6 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match {n}")
     side_member = affine_member if affine else conical_member
-    one = TScalar.unit(grid.model)
     found: tuple[set, set] = (set(), set())
     decided: tuple[dict, dict] = ({}, {})  # per side: generator key -> in the cone
     cases = 0
@@ -475,15 +475,15 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
         if x.is_zero() and not affine:
             continue
         which = 0 if side_member(sides[0], x) else 1
-        y = x.append(one) if affine else x
+        y = _vec(x.model, x.p + (x.model.unit,)) if affine else x
         cone, seen = cones[which], decided[which]
         supp = sorted(support(y))
         hit = None
         for i in supp:
             cases += 1
-            y_i = y.coords[i - 1].payload
+            y_i = y.p[i - 1]
             for j in supp:
-                key = (i, j, y_i, y.coords[j - 1].payload)
+                key = (i, j, y_i, y.p[j - 1])
                 inside = seen.get(key)
                 if inside is None:
                     inside = seen[key] = conical_member(cone, quasisector_gen(y, i, j))

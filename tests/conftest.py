@@ -2,8 +2,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from tropconv.hemispace import BoundarySet, HemispaceSpec
-from tropconv.semiring import Model, TScalar, parse_scalar
-from tropconv.tlinalg import TVec, _same_space, parse_vector
+from tropconv.sectors import InvalidSectorError
+from tropconv.semiring import Model, TScalar, parse_scalar, t_inv, t_mul
+from tropconv.tlinalg import TVec, _same_space, parse_vector, support
 from tropconv.verify import segment_coefficients
 
 settings.register_profile(
@@ -52,3 +53,31 @@ def segment_points(x: TVec, y: TVec, k: int) -> list[TVec]:
     ladder; the reference for `verify.segment_convexity_check`."""
     _same_space(x, y)
     return [x.scale(a).join(y.scale(b)) for a, b in segment_coefficients(x.model, k)]
+
+
+def common_point(x: TVec, y: TVec, i: int, affine: bool) -> TVec:
+    """A nonzero point in the type-i (quasi)sectors of both x and y.
+
+    Conical case: z_j = min(x_j / x_i, y_j / y_i), which lies in both
+    quasisectors.  Affine case: the same construction on the lifted
+    points (x,1), (y,1) -- with i = n+1 allowed -- rescaled back to the
+    unit slice; the result lies in both sectors.
+    """
+    _same_space(x, y)
+    n = x.dim
+    if affine:
+        one = TScalar.unit(x.model)
+        zl = _conical_common(x.append(one), y.append(one), i)
+        return zl.scale(t_inv(zl.at(n + 1))).drop_last()
+    return _conical_common(x, y, i)
+
+
+def _conical_common(x: TVec, y: TVec, i: int) -> TVec:
+    common = support(x) & support(y)
+    if not common:
+        raise InvalidSectorError("points have no common support")
+    if i not in common:
+        raise InvalidSectorError(f"type index {i} is not in the common support {sorted(common)}")
+    xi_inv, yi_inv = t_inv(x.at(i)), t_inv(y.at(i))
+    return TVec(x.model, tuple(min(t_mul(xi_inv, x.at(j)), t_mul(yi_inv, y.at(j)))
+                               for j in range(1, x.dim + 1)))

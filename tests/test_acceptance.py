@@ -10,7 +10,7 @@ import random
 import time
 from functools import lru_cache
 
-from conftest import MP, MT, bset, sc, vec, worked_example
+from conftest import MP, MT, bset, common_point, sc, vec, worked_example
 from tropconv.hemispace import (
     AffineHemispace,
     HemispaceSpec,
@@ -25,7 +25,6 @@ from tropconv.hemispace import (
 )
 from tropconv.sectors import (
     SectorId,
-    common_point,
     quasisector_contains,
     quasisector_gens,
     sector_contains,

@@ -23,7 +23,7 @@ from tropconv.hemispace import (
     conical_member_trace,
 )
 from tropconv.render2d import RenderConfig, build_geometry, render_svg
-from tropconv.semiring import TScalar
+from tropconv.semiring import TScalar, t_mul
 from tropconv.specio import (
     SpecFormatError,
     canonical_text,
@@ -431,6 +431,20 @@ def test_cli_sectors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["test", "--point", "[2,1]", "--quasi", "--semispace"],
+     "argument --semispace: not allowed with argument --quasi"),
+    (["gens", "--semispace"], "sectors gens has no --semispace form"),
+], ids=["test-quasi-semispace", "gens-semispace"])
+def test_cli_sectors_refuses_a_dropped_semispace_flag(capsys, argv, message):
+    # Both once answered as if --semispace were absent.
+    with pytest.raises(SystemExit) as exc:
+        main(["sectors", argv[0], "--base", "[1,1]", "--type", "1", *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and len(captured.err) < 400
+
+
 @pytest.mark.parametrize("extra", [["--type", "1"], ["--type", "1", "--quasi"],
                                    ["--type", "1", "--semispace"], ["--type", "n+1"]],
                          ids=["sector", "quasi", "semispace", "n+1"])
@@ -620,6 +634,31 @@ def _sample_plane_points(model, rng, count):
     return pts
 
 
+def _shaded_member(geom, x) -> bool:
+    """Whether the 2-d point x lies in the region `render_svg` shades,
+    read from the exact geometry: {x1 in A, x2 in B} (rect) or
+    {x2 in const, or x2 in x1 * lin} (curve), with the coordinates
+    swapped when transposed and the region complemented when flipped."""
+    a, b = x.at(1), x.at(2)
+    if geom.transposed:
+        a, b = b, a
+    if geom.kind == "rect":
+        inside = geom.A.contains(a) and geom.B.contains(b)
+    else:
+        inside = geom.const.contains(b) or _scaled_contains(geom.lin, a, b)
+    return inside != geom.flip
+
+
+def _scaled_contains(lin, a, b) -> bool:
+    """b in a * lin (the down-set scaled by a)."""
+    if a.is_bottom:
+        return b.is_bottom
+    if lin.threshold.is_top:
+        return True
+    bound = t_mul(a, lin.threshold)
+    return b <= bound if lin.closed else b < bound
+
+
 def test_render_classification_agrees_with_membership():
     rng = random.Random(77)
     for model in (MT, MP):
@@ -627,14 +666,14 @@ def test_render_classification_agrees_with_membership():
             h = random_valid_affine(rng, model, 2)
             geom = build_geometry(h)
             for x in _sample_plane_points(model, rng, 90):
-                assert geom.shaded_member(x) == affine_member(h, x), (
+                assert _shaded_member(geom, x) == affine_member(h, x), (
                     sorted(h.base.I), h.contains_zero, str(x),
                 )
         for _ in range(6):
             spec = random_valid_spec(rng, model, 2)
             geom = build_geometry(spec)
             for x in _sample_plane_points(model, rng, 60):
-                assert geom.shaded_member(x) == conical_member(spec, x)
+                assert _shaded_member(geom, x) == conical_member(spec, x)
 
 
 def test_render_svg_options():

@@ -8,6 +8,7 @@ raise the same errors, and leave every oracle verdict unchanged.
 """
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from tropconv.hemispace import (
     conical_member_trace,
     member_trace,
 )
-from tropconv.semiring import TScalar, t_max, t_mul
+from tropconv.semiring import TScalar, t_add, t_mul
 from tropconv.tlinalg import DimensionMismatchError, TVec, support
 from tropconv.verify import (
     closure_check,
@@ -74,8 +75,8 @@ def reference_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
         )
     row = {i: t_mul(ts.beta[i], reduced.at(i)) for i in lead.I_elems}
     col = {j: t_mul(ts.gamma[j], reduced.at(j)) for j in lead.J_elems}
-    rhs = t_max(row.values(), spec.model)
-    if rhs < t_max(col.values(), spec.model):
+    rhs = functools.reduce(t_add, row.values(), TScalar.bottom(spec.model))
+    if rhs < functools.reduce(t_add, col.values(), TScalar.bottom(spec.model)):
         return MembershipTrace(False, "dominated: max gamma_j x_j > max beta_i x_i",
                                lead.index, reduced)
     for j in lead.J_elems:

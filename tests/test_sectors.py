@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from conftest import MP, MT, sc, vec
+from conftest import MP, MT, common_point, sc, vec
 from tropconv.sectors import (
     InvalidSectorError,
     SectorId,
     WitnessError,
     assemble_from_witnesses,
-    common_point,
     quasisector_contains,
     quasisector_gen,
     quasisector_gens,

@@ -105,7 +105,7 @@ def test_homogenize_and_section_examples():
         MT, 2, {vec("[2, 1]")}, set()
     )
     only_ray = section_unity(ConeGen.of(MT, 3, {vec("[1, 2, 0]")}))
-    assert only_ray.P == frozenset() and only_ray.is_empty_hull
+    assert not only_ray.P
     assert not pr_member(vec("[1, 2]"), only_ray)
 
 
