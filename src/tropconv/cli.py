@@ -22,7 +22,6 @@ from .hemispace import (
     other_side,
     rank_one_check,
     to_halfspace,
-    to_halfspace_affine,
 )
 from .render2d import RenderConfig, render_svg
 from .sectors import (
@@ -155,10 +154,7 @@ def cmd_thin(args) -> int:
 def cmd_halfspace(args) -> int:
     obj = _load(args.path, parse_spec_text)
     try:
-        if isinstance(obj, AffineHemispace):
-            form = to_halfspace_affine(obj)
-        else:
-            form = to_halfspace(obj)
+        form = to_halfspace(obj)
     except NotClosedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_FAIL

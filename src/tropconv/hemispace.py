@@ -18,7 +18,7 @@ this object denotes.  Each side is the unit section of its own cone
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
@@ -598,7 +598,11 @@ def is_closed(spec: HemispaceSpec) -> bool:
 
 @dataclass(frozen=True)
 class HalfspaceForm:
-    """max_j gamma_j x_j (+ alpha) <= max_i beta_i x_i (+ delta), x_L = zero."""
+    """max_j gamma_j x_j <= max_i beta_i x_i, x_L = zero.
+
+    An affine form is its cone's form read at (x, 1): its indices run to
+    n+1, and the coefficient at n+1 is a constant term.
+    """
 
     model: Model
     n: int
@@ -608,39 +612,30 @@ class HalfspaceForm:
     beta: Mapping[int, TScalar]
     gamma: Mapping[int, TScalar]
     affine: bool = False
-    alpha: Optional[TScalar] = None
-    delta: Optional[TScalar] = None
 
     def evaluate(self, x: TVec) -> bool:
         if x.dim != self.n:
             raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {self.n}")
         if x.model is not self.model:
             raise ModelMismatchError(f"cannot combine {x.model.value} with {self.model.value}")
-        p, mul = x.p, self.model.mul
+        p, mul = (x.lift() if self.affine else x).p, self.model.mul
         if any(p[k - 1] is not None for k in self.L):
             return False
 
-        def side(coeffs, idx, offset) -> Optional[Fraction]:
-            """max_k coeffs_k x_k (+ offset) on payloads; None is Bottom."""
-            terms = [mul(coeffs[k].payload, p[k - 1]) for k in idx if p[k - 1] is not None]
-            if self.affine and offset is not None and offset.is_finite:
-                terms.append(offset.payload)
-            return max(terms, default=None)
+        def side(coeffs, idx) -> Optional[Fraction]:
+            """max_k coeffs_k x_k on payloads; None is Bottom."""
+            return max((mul(coeffs[k].payload, p[k - 1]) for k in idx if p[k - 1] is not None),
+                       default=None)
 
-        lhs = side(self.gamma, self.J, self.alpha)
-        rhs = side(self.beta, self.I, self.delta)
+        lhs, rhs = side(self.gamma, self.J), side(self.beta, self.I)
         return lhs is None or (rhs is not None and lhs <= rhs)
 
     def pretty(self) -> str:
-        def side(coeffs, idx, offset):
-            terms = [f"{format_scalar(coeffs[k])}*x{k}" for k in idx]
-            if offset is not None and not offset.is_bottom:
-                terms.append(format_scalar(offset))
+        def side(coeffs, idx):
+            terms = [format_scalar(coeffs[k]) + ("" if k > self.n else f"*x{k}") for k in idx]
             return "max(" + ", ".join(terms) + ")" if terms else "zero"
 
-        lhs = side(self.gamma, self.J, self.alpha if self.affine else None)
-        rhs = side(self.beta, self.I, self.delta if self.affine else None)
-        out = f"{lhs} <= {rhs}"
+        out = f"{side(self.gamma, self.J)} <= {side(self.beta, self.I)}"
         if self.L:
             out += " ; " + ", ".join(f"x{k} = zero" for k in self.L)
         return out
@@ -659,28 +654,34 @@ def _require_closed(spec: HemispaceSpec, side: str) -> None:
         )
 
 
-def to_halfspace(spec: HemispaceSpec) -> HalfspaceForm:
-    """Closed conical hemispaces are exactly closed homogeneous halfspaces."""
+def to_halfspace(obj: SpecLike) -> HalfspaceForm:
+    """Closed conical hemispaces are exactly closed homogeneous halfspaces.
+
+    An affine side's form is its cone's form read at (x, 1); it is empty
+    when the cone forces the lifted coordinate to zero.
+    """
+    affine = isinstance(obj, AffineHemispace)
+    spec = obj.cone if affine else obj
     if not spec.validated:
         raise SpecError("halfspace form requires a validated spec")
-    _require_closed(spec, "spec")
+    _require_closed(spec, "complement side" if affine and not obj.contains_zero else "spec")
     ts = spec.thin
     if len(ts.classes) > 2 or (
         len(ts.classes) == 2 and (ts.classes[1].J_elems or not ts.classes[0].J_elems)
     ):
         raise InternalInconsistencyError("closed spec with an impossible class layout")
+    # A closed spec has no Top column, so a first class with no finite
+    # column is a coordinate plane: its L is all of J.
     first = ts.classes[0]
-    if not first.J_elems:
-        return HalfspaceForm(spec.model, spec.n, (), (), tuple(sorted(spec.J)), {}, {})
-    return HalfspaceForm(
-        spec.model,
-        spec.n,
-        tuple(sorted(first.I_elems)),
-        tuple(sorted(first.J_elems)),
-        tuple(sorted(first.L)),
-        {i: ts.beta[i] for i in first.I_elems},
-        {j: ts.gamma[j] for j in first.J_elems},
-    )
+    I = tuple(sorted(first.I_elems)) if first.J_elems else ()
+    J = tuple(sorted(first.J_elems))
+    form = HalfspaceForm(spec.model, spec.n, I, J, tuple(sorted(first.L)),
+                         {i: ts.beta[i] for i in I}, {j: ts.gamma[j] for j in J})
+    if not affine:
+        return form
+    if spec.n in form.L:
+        raise NotClosedError("affine slice is empty: the lifted coordinate is forced to zero")
+    return replace(form, n=spec.n - 1, affine=True)
 
 
 # ----------------------------------------------------------------------
@@ -737,7 +738,9 @@ def affine_member(h: AffineHemispace, x: TVec) -> bool:
 def _lift(h: AffineHemispace, x: TVec) -> TVec:
     if x.dim != h.ambient_dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {h.ambient_dim}")
-    return x.append(TScalar.unit(h.base.model))
+    if x.model is not h.base.model:
+        raise ValueError("vector coordinates must share the vector's model")
+    return x.lift()
 
 
 def affine_complement(h: AffineHemispace) -> AffineHemispace:
@@ -749,37 +752,6 @@ def other_side(obj: SpecLike) -> SpecLike:
     if isinstance(obj, AffineHemispace):
         return affine_complement(obj)
     return complement_spec(obj)
-
-
-def to_halfspace_affine(h: AffineHemispace) -> HalfspaceForm:
-    """Affine halfspace form of a closed affine hemispace.
-
-    The side's homogeneous halfspace is sliced at last coordinate 1;
-    the n+1 row contributes the right-hand offset and, on the side not
-    containing zero, the n+1 column contributes the left-hand offset.
-    """
-    spec = h.cone
-    side = "spec" if h.contains_zero else "complement side"
-    _require_closed(spec, side)
-    hs = to_halfspace(spec)
-    np1 = spec.n
-    if np1 in hs.L:
-        raise NotClosedError("affine slice is empty: the lifted coordinate is forced to zero")
-    bot = TScalar.bottom(spec.model)
-    delta = hs.beta[np1] if np1 in hs.I else bot
-    alpha = hs.gamma[np1] if np1 in hs.J else bot
-    return HalfspaceForm(
-        spec.model,
-        np1 - 1,
-        tuple(i for i in hs.I if i != np1),
-        tuple(j for j in hs.J if j != np1),
-        tuple(k for k in hs.L if k != np1),
-        {i: hs.beta[i] for i in hs.I if i != np1},
-        {j: hs.gamma[j] for j in hs.J if j != np1},
-        affine=True,
-        alpha=alpha,
-        delta=delta,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Sectors, quasisectors and semispaces.
 
 A quasisector of type i at a base point y is the cone of points whose
-weighted maximum over supp(y) is attained (weakly) at coordinate i; a
-sector is the affine variant obtained by slicing the quasisector of the
-lifted base point, and a semispace is the complement of a sector.
+weighted maximum over supp(y) is attained (weakly) at coordinate i.  A
+sector is its affine variant: the unit section of the quasisector of
+the same type at the lifted base point (y, 1), where the type index runs
+over supp(y) and the extra type n+1.  A semispace is the complement of a
+sector.
 
-Each of these sets has two first-class representations that are proved
+Quasisectors have two first-class representations that are proved
 equal and cross-checked in the tests: an inequality predicate and a
-finite generator form (a cone for quasisectors, a (P, R)-decomposition
-for sectors).
+finite generator cone.  A sector takes both from its lifted quasisector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .semiring import InternalInconsistencyError
 from .tlinalg import (
@@ -24,6 +25,7 @@ from .tlinalg import (
     TVec,
     _times,
     _vec,
+    section_unity,
     support,
 )
 
@@ -34,10 +36,19 @@ class InvalidSectorError(ValueError):
 
 @dataclass(frozen=True)
 class SectorId:
-    """Base point plus type index; type_index None is the extra (n+1) type."""
+    """Base point y in R_max^n plus a type index in supp(y) or n+1; the
+    extra type n+1 exists for sectors only."""
 
     base: TVec
-    type_index: Optional[int]
+    type_index: int
+
+    def __post_init__(self):
+        i, n = self.type_index, self.base.dim
+        if type(i) is not int or (i != n + 1 and i not in support(self.base)):
+            raise InvalidSectorError(
+                f"type index {i!r} is neither in supp(base) = {sorted(support(self.base))} "
+                f"nor n+1 = {n + 1}"
+            )
 
     @staticmethod
     def of_support(y: TVec, i: int) -> "SectorId":
@@ -49,52 +60,48 @@ class SectorId:
 
     @staticmethod
     def affine(y: TVec) -> "SectorId":
-        return SectorId(y, None)
+        return SectorId(y, y.dim + 1)
 
     @property
     def is_affine_type(self) -> bool:
-        return self.type_index is None
+        return self.type_index == self.base.dim + 1
 
     def describe(self) -> str:
         i = "n+1" if self.is_affine_type else str(self.type_index)
         return f"type {i} at {self.base}"
 
 
-def _top_ratio(s: SectorId, x: TVec) -> Optional[tuple]:
-    """(max over supp(x) of x_j / y_j, and x_i / y_i at the type index i)
-    as payloads with None for Bottom, or None when supp(x) is not
-    contained in supp(y)."""
+def _check_point(s: SectorId, x: TVec) -> None:
     if x.model is not s.base.model:
         raise ValueError("point and sector base use different models")
     if x.dim != s.base.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {s.base.dim}")
+
+
+def _attained(y: TVec, i: int, x: TVec) -> bool:
+    """Whether supp(x) lies in supp(y) and the maximum of the payload
+    ratios x_j / y_j is attained at i (by Bottom too, for x zero)."""
     mul, inv = x.model.mul, x.model.inv
-    pairs = list(zip(x.p, s.base.p))
+    pairs = list(zip(x.p, y.p))
     if any(a is not None and b is None for a, b in pairs):
-        return None
+        return False
     r = [None if a is None else mul(a, inv(b)) for a, b in pairs]
     top = max((q for q in r if q is not None), default=None)
-    return top, None if s.is_affine_type else r[s.type_index - 1]
+    return r[i - 1] == top
 
 
 def quasisector_contains(s: SectorId, x: TVec) -> bool:
     """max over supp(y) of x_j / y_j is attained at the type index."""
     if s.is_affine_type:
         raise InvalidSectorError("quasisectors have no (n+1) type")
-    t = _top_ratio(s, x)
-    return t is not None and t[0] == t[1]
+    _check_point(s, x)
+    return _attained(s.base, s.type_index, x)
 
 
 def sector_contains(s: SectorId, x: TVec) -> bool:
-    """max(1, max over supp(y) of x_j / y_j) is at most x_i / y_i at the
-    type index i, or at most 1 for the extra type."""
-    t = _top_ratio(s, x)
-    if t is None:
-        return False
-    top, at_i = t
-    if s.is_affine_type:
-        return top is None or top <= x.model.unit
-    return top is not None and top == at_i and top >= x.model.unit
+    """(x, 1) lies in the quasisector of the sector's type at (y, 1)."""
+    _check_point(s, x)
+    return _attained(s.base.lift(), s.type_index, x.lift())
 
 
 def semispace_contains(s: SectorId, x: TVec) -> bool:
@@ -120,18 +127,14 @@ def quasisector_gens(s: SectorId) -> ConeGen:
 
 
 def sector_pr(s: SectorId) -> PRDecomposition:
-    """(P, R) form of a sector.
+    """(P, R) form of a sector: the unit section of the generators of its
+    lifted quasisector.
 
     Support type i: the single hull point y_i e_i plus the quasisector
     rays.  Extra type: the hull of zero and the axis points y_j e_j,
     with no rays.
     """
-    y, n, model = s.base, s.base.dim, s.base.model
-    hull = support(y) if s.is_affine_type else {s.type_index}
-    P = {_vec(model, tuple(q if k == i else None for k, q in enumerate(y.p, 1))) for i in hull}
-    if s.is_affine_type:  # y_j e_j for j in supp(y), and zero
-        return PRDecomposition.of(model, n, P | {TVec.zero(model, n)}, set())
-    return PRDecomposition.of(model, n, P, quasisector_gens(s).gens)  # y_i e_i
+    return section_unity(quasisector_gens(SectorId(s.base.lift(), s.type_index)))
 
 
 class WitnessError(ValueError):

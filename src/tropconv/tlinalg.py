@@ -13,8 +13,9 @@ None for Bottom.
 A vector stores one payload per coordinate, None for Bottom (Top never
 occurs in a point).  `TVec(...)` and `parse_vector` check each scalar's
 model and refuse Top; `coords` and `at` are the scalar view.  Operations
-check only what is new -- the factor of `scale`, the value `append`
-adds, the other operand of `join` -- and compute on payloads.
+check only what is new -- the factor of `scale`, the other operand of
+`join` -- and compute on payloads.  `lift` is homogenization: it
+appends the unit, so that x is the unit section of (x, 1).
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class TVec:
             return self
         return _vec(model, _times(model, self.p, lam.payload))
 
-    def append(self, value: TScalar) -> "TVec":
-        return _vec(self.model, self.p + TVec(self.model, (value,)).p)
+    def lift(self) -> "TVec":
+        """(x, 1): the point one dimension up whose unit section is x."""
+        return _vec(self.model, self.p + (self.model.unit,))
 
     def drop_last(self) -> "TVec":
         return _vec(self.model, self.p[:-1])
@@ -268,8 +270,8 @@ class PRDecomposition:
     @cached_property
     def _lifted(self) -> ConeGen:
         """The homogenized cone, built once, on first use."""
-        m, one = self.model, (self.model.unit,)
-        gens = {_vec(m, x.p + one) for x in self.P} | {_vec(m, r.p + (None,)) for r in self.R}
+        m = self.model
+        gens = {x.lift() for x in self.P} | {_vec(m, r.p + (None,)) for r in self.R}
         return ConeGen(m, self.dim + 1, frozenset(gens))
 
     @staticmethod
@@ -310,4 +312,4 @@ def pr_member(x: TVec, d: PRDecomposition) -> bool:
     """x in conv(P) + cone(R), via homogenization plus residuation."""
     if x.model is not d.model or x.dim != d.dim:
         raise DimensionMismatchError("vector does not match decomposition model/dim")
-    return _principal(d._lifted, x.p + (d.model.unit,))[1]
+    return _principal(d._lifted, x.lift().p)[1]

@@ -66,8 +66,7 @@ def common_point(x: TVec, y: TVec, i: int, affine: bool) -> TVec:
     _same_space(x, y)
     n = x.dim
     if affine:
-        one = TScalar.unit(x.model)
-        zl = _conical_common(x.append(one), y.append(one), i)
+        zl = _conical_common(x.lift(), y.lift(), i)
         return zl.scale(t_inv(zl.at(n + 1))).drop_last()
     return _conical_common(x, y, i)
 

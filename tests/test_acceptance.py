@@ -21,7 +21,6 @@ from tropconv.hemispace import (
     is_closed,
     rank_one_check,
     to_halfspace,
-    to_halfspace_affine,
 )
 from tropconv.sectors import (
     SectorId,
@@ -250,7 +249,7 @@ def test_criterion_5_closed_specs_equal_halfspaces():
         base = random_valid_spec(rng, MT if affine % 2 else MP, n + 1,
                                  closed_only=True, force_in_I=n + 1)
         h = AffineHemispace(base, contains_zero=True)
-        hs = to_halfspace_affine(h)
+        hs = to_halfspace(h)
         for x in make_grid(base.model, n, (b.threshold for b in base.sigma.values())).points():
             if hs.evaluate(x) != affine_member(h, x):
                 mismatches += 1
@@ -261,7 +260,7 @@ def test_criterion_5_closed_specs_equal_halfspaces():
             b.threshold.is_bottom for b in d.sigma.values()
         ):
             side = AffineHemispace(complement_spec(d), contains_zero=False)
-            hs2 = to_halfspace_affine(side)
+            hs2 = to_halfspace(side)
             for x in make_grid(d.model, n, (b.threshold for b in d.sigma.values())).points():
                 if hs2.evaluate(x) != affine_member(side, x):
                     mismatches += 1

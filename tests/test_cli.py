@@ -361,7 +361,6 @@ def test_cli_member_explain_follows_the_side(tmp_path, capsys, contains_zero, cl
     path = tmp_path / "box.json"
     path.write_text(text)
     h = parse_spec_text(text)
-    one = TScalar.unit(MT)
     for complement in (False, True):
         side = affine_complement(h) if complement else h
         cone = h.base if side.contains_zero else complement_spec(h.base)
@@ -371,7 +370,7 @@ def test_cli_member_explain_follows_the_side(tmp_path, capsys, contains_zero, cl
             lines = capsys.readouterr().out.splitlines()
             inside = affine_member(side, x)
             assert (code, lines[0]) == ((0, "IN") if inside else (1, "OUT"))
-            reason = conical_member_trace(cone, x.append(one)).reason
+            reason = conical_member_trace(cone, x.lift()).reason
             assert lines[1] == f"  reason: {reason}", (contains_zero, complement, str(x))
 
 
@@ -409,6 +408,36 @@ def test_cli_thin_and_halfspace(worked_file, box_file, capsys):
 
     assert main(["halfspace", worked_file]) == 1  # open entries present
     assert "open or degenerate" in capsys.readouterr().err
+
+
+def _affine_box(closed: bool, threshold: str, contains_zero: bool) -> str:
+    entries = ", ".join(f'{{"i": 3, "j": {j}, "threshold": "{threshold}", '
+                        f'"closed": {json.dumps(closed)}}}' for j in (1, 2))
+    return (f'{{"model": "max-times", "n": 2, "affine": true, "contains_zero": '
+            f'{json.dumps(contains_zero)}, "I": [3], "J": [1, 2], "sigma": [{entries}]}}')
+
+
+COORDINATE_PLANE = """{"model": "max-times", "n": 3, "I": [1], "J": [2, 3], "sigma": [
+  {"i": 1, "j": 2, "threshold": "zero", "closed": true},
+  {"i": 1, "j": 3, "threshold": "zero", "closed": true}]}"""
+
+
+@pytest.mark.parametrize("name, text, code, out, err", [
+    ("box-2d", None, 0, "max(1*x1, 1*x2) <= max(1)\n", ""),
+    ("halfplane-2d-maxplus", None, 0, "max(0*x2) <= max(0*x1)\n", ""),
+    ("left-offset", _affine_box(False, "1", False), 0, "max(1) <= max(1*x1, 1*x2)\n", ""),
+    ("coordinate-plane", COORDINATE_PLANE, 0, "zero <= zero ; x2 = zero, x3 = zero\n", ""),
+    ("empty-slice", _affine_box(False, "inf", False), 1, "",
+     "error: affine slice is empty: the lifted coordinate is forced to zero\n"),
+])
+def test_cli_halfspace_golden_text(tmp_path, capsys, name, text, code, out, err):
+    if text is None:
+        path = Path(__file__).parents[1] / "specs" / f"{name}.json"
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+    assert main(["halfspace", str(path)]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_cli_sectors(capsys):

@@ -26,7 +26,6 @@ from tropconv.hemispace import (
     rank_one_check,
     thin_structure,
     to_halfspace,
-    to_halfspace_affine,
     upset_of,
     upset_product,
 )
@@ -623,15 +622,16 @@ def test_affine_halfspace_of_bounded_box():
     sigma = {(3, 1): bset("1", True), (3, 2): bset("1", True)}
     base = HemispaceSpec.build(MT, 3, [3], [1, 2], sigma)
     h = AffineHemispace(base, contains_zero=True)
-    hs = to_halfspace_affine(h)
-    assert hs.affine and hs.delta == sc("1") and hs.alpha.is_bottom
-    assert hs.I == () and hs.J == (1, 2)
+    hs = to_halfspace(h)
+    # the form is the cone's, read at (x, 1): index 3 carries the constant
+    assert hs.affine and hs.n == 2 and hs.beta[3] == sc("1")
+    assert hs.I == (3,) and hs.J == (1, 2)
     grid = make_grid(MT, 2)
     for x in grid.points():
         assert hs.evaluate(x) == affine_member(h, x)
     # the complement side is open, not a closed halfspace
     with pytest.raises(NotClosedError):
-        to_halfspace_affine(affine_complement(h))
+        to_halfspace(affine_complement(h))
 
 
 def test_affine_halfspace_left_offset():
@@ -640,8 +640,8 @@ def test_affine_halfspace_left_offset():
     sigma = {(3, 1): bset("1", False), (3, 2): bset("1", False)}
     base = HemispaceSpec.build(MT, 3, [3], [1, 2], sigma)
     h = AffineHemispace(base, contains_zero=False)
-    hs = to_halfspace_affine(h)
-    assert hs.affine and hs.alpha == sc("1") and hs.delta.is_bottom
+    hs = to_halfspace(h)
+    assert hs.affine and hs.gamma[3] == sc("1") and 3 in hs.J and 3 not in hs.I
     grid = make_grid(MT, 2)
     for x in grid.points():
         assert hs.evaluate(x) == affine_member(h, x)
@@ -669,7 +669,6 @@ def test_affine_pair_partitions_everything():
     # the lifted point.
     rng = random.Random(37)
     for model in (MT, MP):
-        one = TScalar.unit(model)
         for _ in range(10):
             h = random_valid_affine(rng, model, rng.choice([1, 2, 3]))
             comp = affine_complement(h)
@@ -678,7 +677,7 @@ def test_affine_pair_partitions_everything():
                              (b.threshold for b in h.base.sigma.values()))
             for x in grid.points():
                 assert affine_member(h, x) != affine_member(comp, x)
-                assert affine_member(far, x) == (not conical_member(h.base, x.append(one)))
+                assert affine_member(far, x) == (not conical_member(h.base, x.lift()))
             zero = TVec.zero(model, h.ambient_dim)
             assert affine_member(h, zero) == h.contains_zero
 
@@ -778,4 +777,4 @@ def test_degenerate_affine_whole_space():
         assert affine_member(h, x)
         assert not affine_member(comp, x)
     with pytest.raises(NotClosedError, match="slice is empty"):
-        to_halfspace_affine(comp)
+        to_halfspace(comp)

@@ -93,7 +93,7 @@ def reference_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
 
 
 def reference_affine(h, x: TVec) -> MembershipTrace:
-    return reference_trace(h.cone, x.append(TScalar.unit(h.base.model)))
+    return reference_trace(h.cone, x.lift())
 
 
 # (n, seeds, spanning grid) per stratum: full grid_for_spec grids, with

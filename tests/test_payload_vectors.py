@@ -36,8 +36,8 @@ class _RefVec:
     def scale(self, lam):
         return _RefVec(self.model, (t_mul(lam, c) for c in self.coords))
 
-    def append(self, value):
-        return _RefVec(self.model, self.coords + (value,))
+    def lift(self):
+        return _RefVec(self.model, self.coords + (TScalar.unit(self.model),))
 
     def drop_last(self):
         return _RefVec(self.model, self.coords[:-1])
@@ -105,7 +105,7 @@ def test_vector_operations_equal_the_scalar_reference(model):
         assert _agrees(x.join(y), rx.join(ry))
         lam = _scalar(rng, model)
         assert _agrees(x.scale(lam), rx.scale(lam))
-        assert _agrees(x.append(lam), rx.append(lam))
+        assert _agrees(x.lift(), rx.lift())
         assert _agrees(x.drop_last(), rx.drop_last())
 
 

@@ -27,6 +27,20 @@ def test_sector_id_validation():
     with pytest.raises(InvalidSectorError):
         SectorId.of_support(TVec.zero(MT, 2), 1)
     assert SectorId.affine(TVec.zero(MT, 2)).is_affine_type
+    # A type index is in supp(y) or n+1; nothing wraps or crashes.
+    y = vec("[1, 0, 2]")
+    for i in (0, -1, 5, 2, None, True):
+        with pytest.raises(InvalidSectorError, match="neither in supp"):
+            SectorId(y, i)
+    for i in (0, -1, 4, 5):
+        with pytest.raises(InvalidSectorError, match=f"type index {i} is not in supp"):
+            SectorId.of_support(y, i)
+    assert [SectorId(y, i).is_affine_type for i in (1, 3, 4)] == [False, False, True]
+    assert SectorId(y, 4) == SectorId.affine(y)
+    zero = TVec.zero(MP, 2)
+    assert SectorId(zero, 3).describe() == "type n+1 at [zero, zero]"
+    assert sector_contains(SectorId(zero, 3), zero)
+    assert not sector_contains(SectorId(zero, 3), vec("[0, zero]", MP))
 
 
 def test_quasisector_predicate():
@@ -194,3 +208,78 @@ def test_assemble_reconstructs_members():
             witnesses[i] = rng.choice(cands)
         if ok:
             assert assemble_from_witnesses(y, witnesses) == y
+
+
+# ----------------------------------------------------------------------
+# The direct sector formulas, kept as references for the sector as the
+# unit section of its lifted quasisector.  Type None is the extra type.
+
+
+def _reference_sector_contains(y: TVec, i, x: TVec, strict: bool = False) -> bool:
+    """max(1, max over supp(y) of x_j / y_j) is at most x_i / y_i at a
+    support type i, or at most 1 for the extra type; `strict` weakens
+    `top >= 1` to `top > 1` (a negative control)."""
+    mul, inv = x.model.mul, x.model.inv
+    pairs = list(zip(x.p, y.p))
+    if any(a is not None and b is None for a, b in pairs):
+        return False
+    r = [None if a is None else mul(a, inv(b)) for a, b in pairs]
+    top = max((q for q in r if q is not None), default=None)
+    if i is None:
+        return top is None or top <= x.model.unit
+    if top is None or top != r[i - 1]:
+        return False
+    return top > x.model.unit if strict else top >= x.model.unit
+
+
+def _reference_sector_pr(y: TVec, i) -> tuple[set, set]:
+    """Support type i: the hull point y_i e_i plus the quasisector rays.
+    Extra type: the hull of zero and the axis points y_j e_j, no rays."""
+    model, n = y.model, y.dim
+    hull = support(y) if i is None else {i}
+    P = {TVec(model, tuple(c if k == j else TScalar.bottom(model)
+                           for k, c in enumerate(y.coords, 1))) for j in hull}
+    if i is None:
+        return P | {TVec.zero(model, n)}, set()
+    return P, set(quasisector_gens(SectorId.of_support(y, i)).gens)
+
+
+def _reference_describe(y: TVec, i) -> str:
+    return f"type {'n+1' if i is None else i} at {y}"
+
+
+def _sector_cases():
+    """(model, grid points, base, reference type, type index): every
+    nonzero base of the grids n = 1, 2 and a seeded sample for n = 3,
+    plus the zero base with the extra type; every type per base."""
+    rng = random.Random(41)
+    for model in (MT, MP):
+        for n in (1, 2, 3):
+            points = list(make_grid(model, n, spanning=n < 3).points())
+            bases = [y for y in points if not y.is_zero()]
+            if n == 3:
+                bases = rng.sample(bases, 30)
+            for y in bases + [TVec.zero(model, n)]:
+                for i in sorted(support(y)) + [None]:
+                    yield model, points, y, i, n + 1 if i is None else i
+
+
+def test_sector_formulas_equal_the_direct_references():
+    seen = set()
+    for model, points, y, i, t in _sector_cases():
+        sid = SectorId(y, t)
+        assert sid.describe() == _reference_describe(y, i)
+        P, R = _reference_sector_pr(y, i)
+        d = sector_pr(sid)
+        assert (d.P, d.R) == (P, R)
+        for x in points:
+            want = _reference_sector_contains(y, i, x)
+            assert sector_contains(sid, x) == want
+            assert semispace_contains(sid, x) == (not want)
+            seen.add((model, i is None, want))
+    assert len(seen) == 8  # both models, both kinds of type, IN and OUT
+
+
+def test_a_strict_sector_reference_disagrees():
+    assert any(sector_contains(SectorId(y, t), x) != _reference_sector_contains(y, i, x, True)
+               for _, points, y, i, t in _sector_cases() if i is not None for x in points)

@@ -141,8 +141,8 @@ def test_section_scaling_invariance():
         cone = homogenize(d)
         for alpha in (sc("1/2"), sc("2"), sc("4")):
             for x in grid.points():
-                lifted = x.append(sc("1"))
-                scaled = x.scale(alpha).append(alpha)
+                lifted = x.lift()
+                scaled = x.lift().scale(alpha)
                 assert (
                     cone_member_fg(lifted, cone).member
                     == cone_member_fg(scaled, cone).member
@@ -199,25 +199,22 @@ def test_vector_fast_paths_match_the_scalar_ops(model):
             assert [(c.kind, c.payload) for c in got.coords] == \
                 [(c.kind, c.payload) for c in want.coords]
             assert TVec(model, got.coords) == got  # the public checks accept it
-        assert x.append(lam) == TVec(model, x.coords + (lam,))
+        assert x.lift() == TVec(model, x.coords + (TScalar.unit(model),))
         assert x.drop_last() == TVec(model, x.coords[:-1])
     assert TVec.zero(model, 3) == TVec(model, (TScalar.bottom(model),) * 3)
 
 
-_REFERENCE = {"scale": _reference_scale, "join": _reference_join,
-              "append": lambda x, a: TVec(x.model, x.coords + (a,))}
+_REFERENCE = {"scale": _reference_scale, "join": _reference_join}
 
 
 @pytest.mark.parametrize("method, arg, error", [
     ("scale", TScalar.top(MT), ValueError),
     ("scale", TScalar.unit(MP), ModelMismatchError),
     ("scale", TScalar.bottom(MP), ModelMismatchError),
-    ("append", TScalar.top(MT), ValueError),
-    ("append", TScalar.unit(MP), ValueError),
     ("join", vec("[1, 2, 3]"), DimensionMismatchError),
     ("join", vec("[1, 2]", MP), ValueError),
-], ids=["scale-top", "scale-cross-model", "scale-cross-model-bottom", "append-top",
-        "append-cross-model", "join-dimension", "join-model"])
+], ids=["scale-top", "scale-cross-model", "scale-cross-model-bottom", "join-dimension",
+        "join-model"])
 def test_vector_boundaries_reject_bad_input(method, arg, error):
     x = vec("[2, 1/2]")
     for call in (getattr(x, method), lambda a: _REFERENCE[method](x, a)):

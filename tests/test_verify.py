@@ -119,13 +119,12 @@ def _reference_sector_union(obj, grid):
     sides = obj, other_side(obj)
     cones = tuple(side.cone for side in sides) if affine else sides
     side_member = affine_member if affine else conical_member
-    one = TScalar.unit(grid.model)
     found, cases = (set(), set()), 0
     for x in grid.points():
         if x.is_zero() and not affine:
             continue
         which = 0 if side_member(sides[0], x) else 1
-        y = x.append(one) if affine else x
+        y = x.lift() if affine else x
         hit = None
         for i in sorted(support(y)):
             cases += 1
@@ -551,7 +550,6 @@ def _reference_multiorder(d: PRDecomposition, grid: GridSpec, contains=sector_co
     collect the members, and again as the point y under test."""
     members = [x for x in grid.points() if pr_member(x, d)]
     cases = 0
-    one = TScalar.unit(grid.model)
     for y in grid.points():
         cases += 1
         is_member = pr_member(y, d)
@@ -568,12 +566,12 @@ def _reference_multiorder(d: PRDecomposition, grid: GridSpec, contains=sector_co
             if w is None:
                 meets = False
                 break
-            witnesses[i] = w.append(one)
+            witnesses[i] = w.lift()
         if is_member != meets:
             return Verdict("multiorder", False, cases,
                            f"y={y}: member={is_member} but sector coverage={meets}")
         if meets:
-            assemble_from_witnesses(y.append(one), witnesses)
+            assemble_from_witnesses(y.lift(), witnesses)
     return Verdict("multiorder", True, cases)
 
 
