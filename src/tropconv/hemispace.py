@@ -466,35 +466,39 @@ class MembershipTrace:
 class _ClassKernel:
     """The halfspace-with-ownership test of one thin class.
 
-    Positions are 0-based.  Gauge factors are finite payloads: J_r holds
-    no Top or zero column, so beta and gamma are never Bottom or Top.
+    Positions are 0-based.  Each gauge factor is kept as the integer pair
+    (numerator, denominator) of its payload: J_r holds no Top or zero
+    column, so beta and gamma are never Bottom or Top.  A query forms
+    each product as an unreduced pair with the model's `pair_mul` and
+    compares pairs by cross-multiplication, which is exact because every
+    denominator is positive, so it builds no `Fraction`.
     """
 
     index: int
-    rows: tuple[tuple[int, Fraction], ...]  # (i, beta_i) in I_elems order
-    cols: tuple[tuple[int, Fraction, frozenset[int]], ...]  # (j, gamma_j, owning rows)
+    rows: tuple[tuple[int, int, int], ...]  # (i, beta_i as a pair) in I_elems order
+    cols: tuple[tuple[int, int, int, frozenset[int]], ...]  # (j, gamma_j as a pair, owning rows)
     L: tuple[int, ...]  # zero-threshold columns
     dropped: frozenset[int]  # K plus the rows of later classes
     plane: Optional[frozenset[int]]  # allowed support of a coordinate-plane class
 
 
 def _compile_kernel(spec: HemispaceSpec) -> tuple:
-    """(payload product, class kernels) of a validated spec."""
+    """(payload pair product, class kernels) of a validated spec."""
     ts = spec.thin
     kernels = []
     for cls in ts.classes:
         later = (i for c in ts.classes[cls.index:] for i in c.I_elems)
         dropped = frozenset(k - 1 for k in (*cls.K, *later))
-        rows = tuple((i - 1, ts.beta[i].payload) for i in cls.I_elems)
+        rows = tuple((i - 1, *ts.beta[i].payload.as_integer_ratio()) for i in cls.I_elems)
         cols = tuple(
-            (j - 1, ts.gamma[j].payload,
+            (j - 1, *ts.gamma[j].payload.as_integer_ratio(),
              frozenset(k - 1 for k in cls.I_elems if j in ts.J_le[k]))
             for j in cls.J_elems
         )
-        plane = None if cls.J_elems else dropped | {i for i, _ in rows}
+        plane = None if cls.J_elems else dropped | {r[0] for r in rows}
         kernels.append(_ClassKernel(cls.index, rows, cols, tuple(j - 1 for j in sorted(cls.L)),
                                     dropped, plane))
-    return spec.model.mul, tuple(kernels)
+    return spec.model.pair_mul, tuple(kernels)
 
 
 def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKernel]]:
@@ -504,7 +508,8 @@ def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKer
     classes and of the Top columns of the leading class are irrelevant
     (they ride along the class generators), so the per-class
     halfspace-with-ownership test never reads them.  Bottom coordinates
-    carry no payload, so the test runs on payloads with None for Bottom.
+    carry no payload, so the test runs on payloads with None for Bottom,
+    each read as its integer pair.
     """
     if not spec.validated:
         raise SpecError("membership requires a validated spec")
@@ -514,10 +519,14 @@ def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKer
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {spec.n}")
     if spec._kernel is None:
         spec._kernel = _compile_kernel(spec)
-    mul, kernels = spec._kernel
+    pair_mul, kernels = spec._kernel
     p = x.p
+    # A product is an unreduced pair (a, b) standing for a/b with b > 0,
+    # so a/b > c/d exactly when a*d > c*b.  rhs is the row maximum rn/rd.
     for lead in kernels:
-        if any(p[i] is not None for i, _ in lead.rows):
+        row = [(i, pair_mul(bn, bd, q.numerator, q.denominator))
+               for i, bn, bd in lead.rows if (q := p[i]) is not None]
+        if row:
             break
     else:
         if any(q is not None for q in p):
@@ -528,19 +537,29 @@ def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKer
         if all(q is None or k in lead.plane for k, q in enumerate(p)):
             return True, "coordinate-plane class", lead
         return False, "support outside the plane class", lead
-    if any(p[j] is not None for j in lead.L):
+    if lead.L and any(p[j] is not None for j in lead.L):
         return False, "support on a zero-threshold column", lead
-    row = [(i, mul(b, p[i])) for i, b in lead.rows if p[i] is not None]
-    rhs = max(r for _, r in row)
-    col = [(j, mul(g, p[j]), owners) for j, g, owners in lead.cols if p[j] is not None]
-    if any(c > rhs for _, c, _ in col):
-        return False, "dominated: max gamma_j x_j > max beta_i x_i", lead
+    rn, rd = row[0][1]
+    for _, (a, b) in row:
+        if a * rd > rn * b:
+            rn, rd = a, b
+    boundary = []  # (j, owners) of each column whose product reaches rhs
+    for j, gn, gd, owners in lead.cols:
+        q = p[j]
+        if q is not None:
+            a, b = pair_mul(gn, gd, q.numerator, q.denominator)
+            if a * rd > rn * b:
+                return False, "dominated: max gamma_j x_j > max beta_i x_i", lead
+            if a * rd == rn * b:
+                boundary.append((j, owners))
     # Now every column product is at most rhs; one that reaches it sits
     # on the boundary and needs an owning row that attains rhs too.
-    top = {i for i, r in row if r == rhs}
-    for j, c, owners in col:
-        if c == rhs and owners.isdisjoint(top):
-            return False, f"boundary attained at column {j + 1} is owned by the complement", lead
+    if boundary:
+        top = {i for i, (a, b) in row if a * rd == rn * b}
+        for j, owners in boundary:
+            if owners.isdisjoint(top):
+                reason = f"boundary attained at column {j + 1} is owned by the complement"
+                return False, reason, lead
     return True, "inside the class halfspace", lead
 
 

@@ -35,15 +35,20 @@ _TOP = 2
 class Model(enum.Enum):
     """Each model's payload arithmetic, defined here only: on finite
     payloads `mul` is the product and `inv` its inverse, `unit` is the
-    unit's payload and `two` that of the model's two."""
+    unit's payload and `two` that of the model's two.  `pair_mul(a, b,
+    c, d)` is `mul` on the integer pairs of a/b and c/d (b, d > 0): an
+    unreduced (numerator, positive denominator) pair of the product."""
 
-    MAX_PLUS = "max-plus", operator.add, operator.neg, 0, 1
-    MAX_TIMES = "max-times", operator.mul, (lambda q: 1 / q), 1, 2
+    MAX_PLUS = ("max-plus", operator.add, operator.neg, 0, 1,
+                (lambda a, b, c, d: (a * d + c * b, b * d)))
+    MAX_TIMES = ("max-times", operator.mul, (lambda q: 1 / q), 1, 2,
+                 (lambda a, b, c, d: (a * c, b * d)))
 
-    def __new__(cls, text, mul, inv, unit, two):
+    def __new__(cls, text, mul, inv, unit, two, pair_mul):
         model = object.__new__(cls)
         model._value_ = text
         model.mul, model.inv, model.unit, model.two = mul, inv, Fraction(unit), Fraction(two)
+        model.pair_mul = pair_mul
         return model
 
     def two_power(self, k: int) -> Fraction:

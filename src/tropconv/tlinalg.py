@@ -99,9 +99,6 @@ class TVec:
         """(x, 1): the point one dimension up whose unit section is x."""
         return _vec(self.model, self.p + (self.model.unit,))
 
-    def drop_last(self) -> "TVec":
-        return _vec(self.model, self.p[:-1])
-
     def sort_key(self):
         """Bottom first, then by payload, coordinate by coordinate."""
         return tuple((0, 0) if q is None else (1, q) for q in self.p)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .semiring import InternalInconsistencyError, Model, TScalar, quote_token, t_inv, t_mul
@@ -69,11 +69,14 @@ MemberFn = Callable[[TVec], bool]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Finite per-coordinate value set; the grid is its n-fold product."""
+    """Finite per-coordinate value set; the grid is its n-fold product.
+    `payloads` holds the values' payloads, None for Bottom, read once
+    when the values are checked."""
 
     model: Model
     n: int
     values: tuple[TScalar, ...]
+    payloads: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.values:
@@ -84,14 +87,14 @@ class GridSpec:
         keys = [v._key() for v in self.values]
         if keys != sorted(set(keys)):
             raise ValueError("grid values must be sorted and distinct")
+        object.__setattr__(self, "payloads", tuple(v.payload for v in self.values))
 
     @property
     def size(self) -> int:
         return len(self.values) ** self.n
 
     def point(self, idx: Sequence[int]) -> TVec:
-        # The values were checked once, in __post_init__.
-        return _vec(self.model, tuple(self.values[k].payload for k in idx))
+        return _vec(self.model, tuple(self.payloads[k] for k in idx))
 
     def points(self) -> Iterable[TVec]:
         for idx in itertools.product(range(len(self.values)), repeat=self.n):
@@ -211,7 +214,7 @@ class _ExtendedAxis:
 
     def __init__(self, member: MemberFn, grid: GridSpec,
                  table: dict[tuple[int, ...], bool], factors: Iterable[TScalar]):
-        model, values = grid.model, [v.payload for v in grid.values]
+        model, values = grid.model, grid.payloads
         products = {}
         for c in factors:
             _check_factor(model, c)
@@ -505,26 +508,50 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
 def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
     """Grid membership in conv(P)+cone(R) equals 'every sector at the point
     meets the member set', with the if-direction certified by an exact
-    witness assembly at the lifted level."""
+    witness assembly at the lifted level.
+
+    The members are indexed by sector.  w lies in the type-i sector at y
+    iff supp(w) lies in supp(y) and w_i / y_i attains max_j w_j / y_j,
+    the lifted coordinate taking part with ratio 1 as type n+1.  So one
+    pass over the members whose support fits reads off every type each
+    member covers, and the first member of each type, in grid order, is
+    its witness once `sector_contains` confirms it.
+    """
     table = [(y, pr_member(y, d)) for y in grid.points()]
-    members = [x for x, inside in table if inside]
+    members = [(x, support(x)) for x, inside in table if inside]
+    model, extra = grid.model, grid.n + 1
+    # Ratios are unreduced integer pairs (a, b), b > 0, compared by
+    # cross-multiplication as in the membership kernel.
+    pair_mul, unit = model.pair_mul, model.unit.as_integer_ratio()
+    fitting: dict[frozenset, list] = {}  # supp(y) -> (w, payload pairs) of the fitting members
     cases = 0
     for y, is_member in table:
         cases += 1
         if y.is_zero():
-            meets = any(w.is_zero() for w in members)
+            meets = any(w.is_zero() for w, _ in members)
             if is_member != meets:
                 return Verdict("multiorder", False, cases, f"y={y} (zero case)")
             continue
+        supp = support(y)
+        if supp not in fitting:
+            fitting[supp] = [(w, [(k, q.numerator, q.denominator)
+                                  for k, q in enumerate(w.p) if q is not None])
+                             for w, s in members if s <= supp]
+        y_inv = [None if q is None else model.inv(q).as_integer_ratio() for q in y.p]
         witnesses = {}
-        meets = True
-        for i in sorted(support(y)) + [grid.n + 1]:
-            sid = SectorId(y, i)
-            w = next((w for w in members if sector_contains(sid, w)), None)
-            if w is None:
-                meets = False
+        for w, pairs in fitting[supp]:
+            ratios = [(pair_mul(a, b, *y_inv[k]), k + 1) for k, a, b in pairs]
+            ratios.append((unit, extra))
+            tn, td = unit
+            for (a, b), _ in ratios:
+                if a * td > tn * b:
+                    tn, td = a, b
+            for (a, b), i in ratios:
+                if a * td == tn * b and i not in witnesses and sector_contains(SectorId(y, i), w):
+                    witnesses[i] = w.lift()
+            if len(witnesses) > len(supp):
                 break
-            witnesses[i] = w.lift()
+        meets = len(witnesses) > len(supp)
         if is_member != meets:
             return Verdict(
                 "multiorder", False, cases,

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 from tropconv.hemispace import BoundarySet, HemispaceSpec
 from tropconv.sectors import InvalidSectorError
 from tropconv.semiring import Model, TScalar, parse_scalar, t_inv, t_mul
-from tropconv.tlinalg import TVec, _same_space, parse_vector, support
+from tropconv.tlinalg import TVec, _same_space, _vec, parse_vector, support
 from tropconv.verify import segment_coefficients
 
 settings.register_profile(
@@ -55,6 +55,11 @@ def segment_points(x: TVec, y: TVec, k: int) -> list[TVec]:
     return [x.scale(a).join(y.scale(b)) for a, b in segment_coefficients(x.model, k)]
 
 
+def drop_last(x: TVec) -> TVec:
+    """x without its last coordinate: the head of a lifted point."""
+    return _vec(x.model, x.p[:-1])
+
+
 def common_point(x: TVec, y: TVec, i: int, affine: bool) -> TVec:
     """A nonzero point in the type-i (quasi)sectors of both x and y.
 
@@ -67,7 +72,7 @@ def common_point(x: TVec, y: TVec, i: int, affine: bool) -> TVec:
     n = x.dim
     if affine:
         zl = _conical_common(x.lift(), y.lift(), i)
-        return zl.scale(t_inv(zl.at(n + 1))).drop_last()
+        return drop_last(zl.scale(t_inv(zl.at(n + 1))))
     return _conical_common(x, y, i)
 
 

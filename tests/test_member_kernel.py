@@ -152,19 +152,45 @@ def test_kernel_with_an_owner_dropped_disagrees_with_the_reference():
     for spec in specs:
         grid = grid_for_spec(spec)
         conical_member(spec, grid.point([0] * spec.n))
-        mul, kernels = spec._kernel
+        pair_mul, kernels = spec._kernel
         for c, lead in enumerate(kernels):
-            for pos, (j, gamma, owners) in enumerate(lead.cols):
+            for pos, (j, gn, gd, owners) in enumerate(lead.cols):
                 for k in owners:
                     cols = list(lead.cols)
-                    cols[pos] = (j, gamma, owners - {k})
+                    cols[pos] = (j, gn, gd, owners - {k})
                     broken = dataclasses.replace(lead, cols=tuple(cols))
                     mutant = HemispaceSpec.build(spec.model, spec.n, spec.I, spec.J, spec.sigma)
-                    mutant._kernel = (mul, kernels[:c] + (broken,) + kernels[c + 1:])
+                    mutant._kernel = (pair_mul, kernels[:c] + (broken,) + kernels[c + 1:])
                     assert any(conical_member_trace(mutant, x) != reference_trace(spec, x)
                                for x in grid.points()), (spec, j, k)
                     mutants += 1
     assert mutants >= 5
+
+
+def test_kernel_with_the_other_models_pair_product_disagrees_with_the_reference():
+    # Max-plus multiplies pairs by adding cross products, max-times by
+    # multiplying numerators; a kernel that reads its gauge pairs with
+    # the other model's formula misplaces grid points.  Max-plus's formula
+    # on max-times pairs adds the factor instead, which keeps every
+    # comparison when all gauge factors are equal, so only specs with two
+    # distinct factors must disagree.
+    for model, other in ((MT, MP), (MP, MT)):
+        mutants = 0
+        for seed in range(8):
+            spec = random_valid_spec(random.Random(f"pair:{seed}"), model, 3)
+            grid = grid_for_spec(spec)
+            conical_member(spec, grid.point([0] * spec.n))
+            pair_mul, kernels = spec._kernel
+            assert pair_mul is model.pair_mul
+            gauges = {g[1:3] for lead in kernels for g in lead.rows + lead.cols}
+            if len(gauges) < 2:
+                continue
+            mutant = HemispaceSpec.build(spec.model, spec.n, spec.I, spec.J, spec.sigma)
+            mutant._kernel = (other.pair_mul, kernels)
+            assert any(conical_member_trace(mutant, x) != reference_trace(spec, x)
+                       for x in grid.points()), (model, seed)
+            mutants += 1
+        assert mutants >= 4, model
 
 
 def test_kernel_is_compiled_on_the_first_query_and_kept(monkeypatch):

@@ -14,7 +14,15 @@ from fractions import Fraction
 from conftest import MP, MT
 from tropconv import verify
 from tropconv.hemispace import pick_finite_in_interval
-from tropconv.semiring import ModelMismatchError, TScalar, t_add, t_inv, t_mul
+from tropconv.semiring import (
+    MAX_TOKEN_CHARS,
+    ModelMismatchError,
+    TScalar,
+    parse_fraction,
+    t_add,
+    t_inv,
+    t_mul,
+)
 from tropconv.tlinalg import ConeGen, PRDecomposition, TVec, cone_member_fg, pr_member, support
 
 # ----------------------------------------------------------------------
@@ -223,3 +231,32 @@ def test_a_wrong_inverse_fails_the_reference_comparison(monkeypatch):
     assert {"t_inv", "cone_member_fg", "pr_member", "pick_finite_in_interval",
             "grid table", "closure_scalars", "segment_coefficients",
             "make_grid"} <= set(bad)
+
+
+def _long_token(rng: random.Random, sign: str) -> str:
+    """A token p/q of exactly MAX_TOKEN_CHARS characters, the longest the
+    parser reads, with random digits and no leading zero."""
+    body = MAX_TOKEN_CHARS - len(sign) - 1
+
+    def digits(k: int) -> str:
+        return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(k - 1))
+
+    split = rng.randint(1, body - 1)
+    return f"{sign}{digits(split)}/{digits(body - split)}"
+
+
+def test_pair_product_reduces_to_mul():
+    rng = random.Random("pair-product")
+    for model in (MT, MP):
+        low = -9 if model is MP else 1
+        pool = [model.unit] + [Fraction(rng.randint(low, 9), rng.randint(1, 9))
+                               for _ in range(200)]
+        for _ in range(100):
+            token = _long_token(rng, rng.choice(("", "-")) if model is MP else "")
+            assert len(token) == MAX_TOKEN_CHARS
+            pool.append(parse_fraction(token))
+        assert any(q < 0 for q in pool) == (model is MP)
+        for _ in range(3000):
+            x, y = rng.choice(pool), rng.choice(pool)
+            a, b = model.pair_mul(x.numerator, x.denominator, y.numerator, y.denominator)
+            assert b > 0 and Fraction(a, b) == model.mul(x, y), (model, x, y)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MP, MT
+from conftest import MP, MT, drop_last
 import tropconv
 from tropconv.semiring import TScalar, format_scalar_compact, t_add, t_mul
 from tropconv.tlinalg import TVec, support
@@ -106,7 +106,7 @@ def test_vector_operations_equal_the_scalar_reference(model):
         lam = _scalar(rng, model)
         assert _agrees(x.scale(lam), rx.scale(lam))
         assert _agrees(x.lift(), rx.lift())
-        assert _agrees(x.drop_last(), rx.drop_last())
+        assert _agrees(drop_last(x), rx.drop_last())
 
 
 @MODELS

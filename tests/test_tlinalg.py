@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MP, MT, sc, segment_points, vec
+from conftest import MP, MT, drop_last, sc, segment_points, vec
 from tropconv.semiring import ModelMismatchError, TScalar, t_add, t_mul
 from tropconv.tlinalg import (
     ConeGen,
@@ -200,7 +200,7 @@ def test_vector_fast_paths_match_the_scalar_ops(model):
                 [(c.kind, c.payload) for c in want.coords]
             assert TVec(model, got.coords) == got  # the public checks accept it
         assert x.lift() == TVec(model, x.coords + (TScalar.unit(model),))
-        assert x.drop_last() == TVec(model, x.coords[:-1])
+        assert drop_last(x) == TVec(model, x.coords[:-1])
     assert TVec.zero(model, 3) == TVec(model, (TScalar.bottom(model),) * 3)
 
 

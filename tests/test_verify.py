@@ -576,18 +576,26 @@ def _reference_multiorder(d: PRDecomposition, grid: GridSpec, contains=sector_co
 
 
 def test_multiorder_decides_each_point_once(monkeypatch):
-    calls = []
+    # Each grid point is decided once, and the sector index confirms one
+    # witness per sector type: at most |supp(y)| + 1 `sector_contains`
+    # calls per nonzero point, where the reference scan makes one per
+    # member it passes over.
+    calls, sectors = [], []
     decide = verify.pr_member
     monkeypatch.setattr(verify, "pr_member", lambda x, d: calls.append(x) or decide(x, d))
+    monkeypatch.setattr(verify, "sector_contains",
+                        lambda sid, w: sectors.append(sid) or sector_contains(sid, w))
     rng = random.Random(31)
     for model in (MT, MP):
-        for n in (2, 3):
+        for n, draws in ((2, 4), (3, 4), (4, 2)):
             grid = make_grid(model, n, spanning=False)
-            for _ in range(4):
+            bound = sum(len(support(y)) + 1 for y in grid.points() if not y.is_zero())
+            for _ in range(draws):
                 d = random_pr(rng, model, n)
-                del calls[:]
+                del calls[:], sectors[:]
                 got = multiorder_invariant_check(d, grid)
                 assert len(calls) == grid.size and len(set(calls)) == grid.size
+                assert len(sectors) <= bound
                 assert got == _reference_multiorder(d, grid) and got.passed
     # A broken sector predicate fails both the same way.
     def broken(sid, w):
