@@ -18,15 +18,14 @@ this object denotes.  Each side is the unit section of its own cone
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
 from .semiring import (
     InternalInconsistencyError,
     Model,
-    ModelMismatchError,
     TScalar,
     format_scalar,
     t_inv,
@@ -278,14 +277,14 @@ class HemispaceSpec:
 
     @classmethod
     def build(cls, model, n, I, J, sigma) -> "HemispaceSpec":
+        """A validated spec: its thin structure is derived once, and a law
+        that fails rejects the spec with the first violation that
+        `rank_one_check` names from the 2x2 minors."""
         spec = cls.raw(model, n, I, J, sigma)
         try:
             spec._thin = thin_structure(spec)
         except InternalInconsistencyError:
-            v = rank_one_check(spec)
-            if v is None:  # the laws and the walk disagree: a bug
-                raise
-            raise RankOneError(v) from None
+            raise RankOneError(rank_one_check(spec)) from None
         return spec
 
     @property
@@ -323,13 +322,21 @@ class HemispaceSpec:
 def rank_one_check(spec: HemispaceSpec) -> Optional[Violation]:
     """First failing quadruple of the disjointness equations, if any.
 
-    Each 2x2 minor (i1 < i2, j1 < j2) is tested once, in lexicographic
-    order, equation 1 before equation 2.  That decides every ordered
-    quadruple: equation 2 at (j1, j2) is equation 1 at (j2, j1), and
-    swapping both pairs leaves each equation unchanged.  A quadruple with
-    i1 = i2 or j1 = j2 never fails, because anything outside a down-set
-    lies above all of it.
+    Validity is read from the thin-structure laws, which hold exactly
+    when no quadruple fails; a spec with one row or one column has no
+    2x2 minor and passes at once.  Only when a law fails are the minors
+    walked, to name the violation.  Each minor (i1 < i2, j1 < j2) is
+    tested once, in lexicographic order, equation 1 before equation 2.
+    That decides every ordered quadruple: equation 2 at (j1, j2) is
+    equation 1 at (j2, j1), and swapping both pairs leaves each equation
+    unchanged.  A quadruple with i1 = i2 or j1 = j2 never fails, because
+    anything outside a down-set lies above all of it.
     """
+    if len(spec.I) < 2 or len(spec.J) < 2:
+        return None
+    with suppress(InternalInconsistencyError):
+        thin_structure(spec)
+        return None
     for i1, i2 in combinations(sorted(spec.I), 2):
         for j1, j2 in combinations(sorted(spec.J), 2):
             a, b = spec.entry(i1, j1), spec.entry(i1, j2)
@@ -340,7 +347,7 @@ def rank_one_check(spec: HemispaceSpec) -> Optional[Violation]:
             ):
                 if down_up_overlap(down, up):
                     return Violation(i1, i2, j1, j2, side, down, up)
-    return None
+    raise InternalInconsistencyError("a thin-structure law fails but no 2x2 minor does")
 
 
 # ----------------------------------------------------------------------
@@ -373,9 +380,9 @@ def thin_structure(spec: HemispaceSpec) -> ThinStructure:
     """Row partitions, ordered classes and gauge factors of a raw spec.
 
     The laws (nested strict parts, gauge factorisation, descending
-    chain) hold exactly when `rank_one_check` finds no violation, so
-    they decide validity.  A failed law raises InternalInconsistencyError,
-    which `build` turns into RankOneError.
+    chain) hold exactly when no 2x2 minor violates the rank-one
+    condition, so they decide validity.  A failed law raises
+    InternalInconsistencyError, which `build` turns into RankOneError.
     """
     model = spec.model
     J_lt: dict[int, frozenset] = {}
@@ -623,7 +630,6 @@ class HalfspaceForm:
     n+1, and the coefficient at n+1 is a constant term.
     """
 
-    model: Model
     n: int
     I: tuple[int, ...]
     J: tuple[int, ...]
@@ -631,23 +637,6 @@ class HalfspaceForm:
     beta: Mapping[int, TScalar]
     gamma: Mapping[int, TScalar]
     affine: bool = False
-
-    def evaluate(self, x: TVec) -> bool:
-        if x.dim != self.n:
-            raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {self.n}")
-        if x.model is not self.model:
-            raise ModelMismatchError(f"cannot combine {x.model.value} with {self.model.value}")
-        p, mul = (x.lift() if self.affine else x).p, self.model.mul
-        if any(p[k - 1] is not None for k in self.L):
-            return False
-
-        def side(coeffs, idx) -> Optional[Fraction]:
-            """max_k coeffs_k x_k on payloads; None is Bottom."""
-            return max((mul(coeffs[k].payload, p[k - 1]) for k in idx if p[k - 1] is not None),
-                       default=None)
-
-        lhs, rhs = side(self.gamma, self.J), side(self.beta, self.I)
-        return lhs is None or (rhs is not None and lhs <= rhs)
 
     def pretty(self) -> str:
         def side(coeffs, idx):
@@ -694,7 +683,7 @@ def to_halfspace(obj: SpecLike) -> HalfspaceForm:
     first = ts.classes[0]
     I = tuple(sorted(first.I_elems)) if first.J_elems else ()
     J = tuple(sorted(first.J_elems))
-    form = HalfspaceForm(spec.model, spec.n, I, J, tuple(sorted(first.L)),
+    form = HalfspaceForm(spec.n, I, J, tuple(sorted(first.L)),
                          {i: ts.beta[i] for i in I}, {j: ts.gamma[j] for j in J})
     if not affine:
         return form

@@ -309,12 +309,11 @@ def closure_check(
             codes = [code for code, inside in zip(codes, table.values()) if inside]
             inside = set(codes)
             # The join is symmetric, so the first failing pair in
-            # row-major order lies on or right of the diagonal.  Cases
-            # count each block of up to 256 rows before any of its pairs.
+            # row-major order lies on or right of the diagonal.
             for a, code in enumerate(codes):
                 if not inside.issuperset(map(code.__or__, codes[a:])):
                     b = next(b for b in range(a, len(codes)) if code | codes[b] not in inside)
-                    cases += min(a // 256 * 256 + 256, len(codes)) * len(codes)
+                    cases += (a + 1) * len(codes)
                     return join_failure(members_idx[a], members_idx[b])
             raise InternalInconsistencyError("lower-neighbour pass and pair scan disagree")
     elif members_idx:

@@ -1,10 +1,17 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tropconv.hemispace import BoundarySet, HemispaceSpec
+from tropconv.hemispace import BoundarySet, HalfspaceForm, HemispaceSpec
 from tropconv.sectors import InvalidSectorError
 from tropconv.semiring import Model, TScalar, parse_scalar, t_inv, t_mul
-from tropconv.tlinalg import TVec, _same_space, _vec, parse_vector, support
+from tropconv.tlinalg import (
+    DimensionMismatchError,
+    TVec,
+    _same_space,
+    _vec,
+    parse_vector,
+    support,
+)
 from tropconv.verify import segment_coefficients
 
 settings.register_profile(
@@ -85,3 +92,23 @@ def _conical_common(x: TVec, y: TVec, i: int) -> TVec:
     xi_inv, yi_inv = t_inv(x.at(i)), t_inv(y.at(i))
     return TVec(x.model, tuple(min(t_mul(xi_inv, x.at(j)), t_mul(yi_inv, y.at(j)))
                                for j in range(1, x.dim + 1)))
+
+
+def evaluate(hs: HalfspaceForm, x: TVec) -> bool:
+    """Whether x satisfies the halfspace form: the closed-spec reference
+    that `conical_member` and `affine_member` are checked against.
+
+    It reads the form's coefficients in x's model, on payloads with None
+    for Bottom; an affine form is read at (x, 1)."""
+    if x.dim != hs.n:
+        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {hs.n}")
+    p, mul = (x.lift() if hs.affine else x).p, x.model.mul
+    if any(p[k - 1] is not None for k in hs.L):
+        return False
+
+    def side(coeffs, idx):
+        return max((mul(coeffs[k].payload, p[k - 1]) for k in idx if p[k - 1] is not None),
+                   default=None)
+
+    lhs, rhs = side(hs.gamma, hs.J), side(hs.beta, hs.I)
+    return lhs is None or (rhs is not None and lhs <= rhs)

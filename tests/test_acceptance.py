@@ -10,7 +10,7 @@ import random
 import time
 from functools import lru_cache
 
-from conftest import MP, MT, bset, common_point, sc, vec, worked_example
+from conftest import MP, MT, bset, common_point, evaluate, sc, vec, worked_example
 from tropconv.hemispace import (
     AffineHemispace,
     HemispaceSpec,
@@ -237,7 +237,7 @@ def test_criterion_5_closed_specs_equal_halfspaces():
         assert is_closed(spec)
         hs = to_halfspace(spec)
         for x in grid_for_spec(spec).points():
-            if hs.evaluate(x) != conical_member(spec, x):
+            if evaluate(hs, x) != conical_member(spec, x):
                 mismatches += 1
         conical += 1
 
@@ -251,7 +251,7 @@ def test_criterion_5_closed_specs_equal_halfspaces():
         h = AffineHemispace(base, contains_zero=True)
         hs = to_halfspace(h)
         for x in make_grid(base.model, n, (b.threshold for b in base.sigma.values())).points():
-            if hs.evaluate(x) != affine_member(h, x):
+            if evaluate(hs, x) != affine_member(h, x):
                 mismatches += 1
         affine += 1
         # open-boxed bases give a closed complement side; exercise it too
@@ -262,7 +262,7 @@ def test_criterion_5_closed_specs_equal_halfspaces():
             side = AffineHemispace(complement_spec(d), contains_zero=False)
             hs2 = to_halfspace(side)
             for x in make_grid(d.model, n, (b.threshold for b in d.sigma.values())).points():
-                if hs2.evaluate(x) != affine_member(side, x):
+                if evaluate(hs2, x) != affine_member(side, x):
                     mismatches += 1
     _verdict(
         "C5 closed = halfspace",

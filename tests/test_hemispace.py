@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MP, MT, bset, sc, vec
-from tropconv import hemispace
+from conftest import MP, MT, bset, evaluate, sc, vec
+from tropconv import cli, hemispace
 from tropconv.hemispace import (
     AffineHemispace,
     BoundarySet,
@@ -30,6 +30,7 @@ from tropconv.hemispace import (
     upset_product,
 )
 from tropconv.semiring import InternalInconsistencyError, TScalar, t_mul
+from tropconv.specio import canonical_text
 from tropconv.tlinalg import TVec, support
 from tropconv.verify import (
     closure_scalars,
@@ -306,7 +307,7 @@ def test_build_decides_exactly_as_the_minor_walk(monkeypatch):
     outcomes = []
 
     def agree(raw):
-        expected = rank_one_check(raw)
+        expected = _rank_one_check_ordered(raw)
         walks.clear()
         try:
             spec = _build(raw)
@@ -331,6 +332,49 @@ def test_build_decides_exactly_as_the_minor_walk(monkeypatch):
             agree(random_violated_spec(rng, model, max(n, 4))[0])
     valid = sum(outcomes)
     assert 0.2 * len(outcomes) <= valid <= 0.8 * len(outcomes), valid
+
+
+def test_rank_one_check_that_trusts_every_spec_disagrees_with_the_walk(monkeypatch):
+    # Negative control: with laws that accept everything, rank_one_check
+    # no longer reaches the walk, so the reference above catches it.
+    rng = random.Random(11)
+    drawn = [random_violated_spec(rng, (MT, MP)[k % 2], 4 + k % 4)[0] for k in range(20)]
+    monkeypatch.setattr(hemispace, "thin_structure", lambda spec: None)
+    assert any(rank_one_check(spec) != _rank_one_check_ordered(spec) for spec in drawn)
+
+
+def test_laws_that_fail_where_no_minor_does_are_a_bug(monkeypatch, worked_spec):
+    def broken(spec):
+        raise InternalInconsistencyError("gauge factorisation failed on a finite entry")
+
+    monkeypatch.setattr(hemispace, "thin_structure", broken)
+    with pytest.raises(InternalInconsistencyError, match="no 2x2 minor"):
+        rank_one_check(worked_spec)
+
+
+def test_a_valid_spec_walks_no_minor(monkeypatch, tmp_path, capsys):
+    overlaps = []
+    monkeypatch.setattr(hemispace, "down_up_overlap",
+                        lambda d, u: overlaps.append(1) or down_up_overlap(d, u))
+    rng = random.Random(13)
+    for n in range(2, 13):
+        for model in (MT, MP):
+            for _ in range(10):
+                spec = random_valid_spec(rng, model, n)
+                assert rank_one_check(spec) is None
+    assert not overlaps
+    spec = random_valid_spec(random.Random(5), MT, 60)
+    assert len(spec.I) >= 20 and len(spec.J) >= 20
+    path = tmp_path / "valid-60.json"
+    path.write_text(canonical_text(spec), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    assert not overlaps
+    for k in range(60):
+        spec, v = random_violated_spec(rng, (MT, MP)[k % 2], 4 + k % 4)
+        overlaps.clear()
+        assert rank_one_check(spec) == v
+        assert overlaps, spec
 
 
 # Top column sets {3, 4} and {5}: neither contains the other
@@ -394,8 +438,10 @@ def test_single_row_and_column_always_pass():
     for _ in range(20):
         sigma = {(1, j): rng.choice(flags) for j in (2, 3, 4)}
         assert rank_one_check(HemispaceSpec.raw(MT, 4, [1], [2, 3, 4], sigma)) is None
+        assert HemispaceSpec.build(MT, 4, [1], [2, 3, 4], sigma).validated
         sigma = {(i, 4): rng.choice(flags) for i in (1, 2, 3)}
         assert rank_one_check(HemispaceSpec.raw(MT, 4, [1, 2, 3], [4], sigma)) is None
+        assert HemispaceSpec.build(MT, 4, [1, 2, 3], [4], sigma).validated
 
 
 def test_structural_validation():
@@ -600,7 +646,7 @@ def test_to_halfspace_simple():
     assert hs.beta[1] == one and hs.gamma[2] == one
     grid = grid_for_spec(spec)
     for x in grid.points():
-        assert hs.evaluate(x) == conical_member(spec, x)
+        assert evaluate(hs, x) == conical_member(spec, x)
     assert "x2" in hs.pretty() and "<=" in hs.pretty()
 
 
@@ -609,7 +655,7 @@ def test_to_halfspace_coordinate_plane():
     spec = HemispaceSpec.build(MT, 3, [1], [2, 3], sigma)
     hs = to_halfspace(spec)
     assert hs.I == () and hs.J == () and hs.L == (2, 3)
-    assert hs.evaluate(vec("[7, 0, 0]")) and not hs.evaluate(vec("[7, 0, 1]"))
+    assert evaluate(hs, vec("[7, 0, 0]")) and not evaluate(hs, vec("[7, 0, 1]"))
 
 
 def test_to_halfspace_rejects_open_entries(worked_spec):
@@ -628,7 +674,7 @@ def test_affine_halfspace_of_bounded_box():
     assert hs.I == (3,) and hs.J == (1, 2)
     grid = make_grid(MT, 2)
     for x in grid.points():
-        assert hs.evaluate(x) == affine_member(h, x)
+        assert evaluate(hs, x) == affine_member(h, x)
     # the complement side is open, not a closed halfspace
     with pytest.raises(NotClosedError):
         to_halfspace(affine_complement(h))
@@ -644,7 +690,7 @@ def test_affine_halfspace_left_offset():
     assert hs.affine and hs.gamma[3] == sc("1") and 3 in hs.J and 3 not in hs.I
     grid = make_grid(MT, 2)
     for x in grid.points():
-        assert hs.evaluate(x) == affine_member(h, x)
+        assert evaluate(hs, x) == affine_member(h, x)
 
 
 # ----------------------------------------------------------------------

@@ -285,17 +285,15 @@ def _reference_closure(member, grid, pairs, scalars, seed=0, name="closure"):
         codes = [sum(((1 << k) - 1) << (c * m) for c, k in enumerate(idx))
                  for idx in members_idx]
         inside = set(codes)
-        for start in range(0, len(codes), 256):
-            rows = range(start, min(start + 256, len(codes)))
-            cases += len(rows) * len(codes)
-            for a in rows:
-                if inside.issuperset(map(codes[a].__or__, codes[a:])):
-                    continue
-                b = next(b for b in range(a, len(codes)) if codes[a] | codes[b] not in inside)
-                bad_verdict = recheck(members_idx[a], members_idx[b])
-                if bad_verdict is not None:
-                    return bad_verdict
-                raise InternalInconsistencyError("join codes disagree with exact path")
+        for a in range(len(codes)):
+            cases += len(codes)
+            if inside.issuperset(map(codes[a].__or__, codes[a:])):
+                continue
+            b = next(b for b in range(a, len(codes)) if codes[a] | codes[b] not in inside)
+            bad_verdict = recheck(members_idx[a], members_idx[b])
+            if bad_verdict is not None:
+                return bad_verdict
+            raise InternalInconsistencyError("join codes disagree with exact path")
     elif members_idx:
         rng = random.Random(f"{seed}:{name}:pairs")
         for _ in range(pairs):
