@@ -278,13 +278,13 @@ class HemispaceSpec:
     @classmethod
     def build(cls, model, n, I, J, sigma) -> "HemispaceSpec":
         """A validated spec: its thin structure is derived once, and a law
-        that fails rejects the spec with the first violation that
-        `rank_one_check` names from the 2x2 minors."""
+        that fails rejects the spec with the first violation that the 2x2
+        minors name, as `rank_one_check` does."""
         spec = cls.raw(model, n, I, J, sigma)
         try:
             spec._thin = thin_structure(spec)
         except InternalInconsistencyError:
-            raise RankOneError(rank_one_check(spec)) from None
+            raise RankOneError(_first_violation(spec)) from None
         return spec
 
     @property
@@ -337,6 +337,11 @@ def rank_one_check(spec: HemispaceSpec) -> Optional[Violation]:
     with suppress(InternalInconsistencyError):
         thin_structure(spec)
         return None
+    return _first_violation(spec)
+
+
+def _first_violation(spec: HemispaceSpec) -> Violation:
+    """The minor walk of `rank_one_check`, for a spec whose laws fail."""
     for i1, i2 in combinations(sorted(spec.I), 2):
         for j1, j2 in combinations(sorted(spec.J), 2):
             a, b = spec.entry(i1, j1), spec.entry(i1, j2)
@@ -486,7 +491,6 @@ class _ClassKernel:
     cols: tuple[tuple[int, int, int, frozenset[int]], ...]  # (j, gamma_j as a pair, owning rows)
     L: tuple[int, ...]  # zero-threshold columns
     dropped: frozenset[int]  # K plus the rows of later classes
-    plane: Optional[frozenset[int]]  # allowed support of a coordinate-plane class
 
 
 def _compile_kernel(spec: HemispaceSpec) -> tuple:
@@ -502,9 +506,8 @@ def _compile_kernel(spec: HemispaceSpec) -> tuple:
              frozenset(k - 1 for k in cls.I_elems if j in ts.J_le[k]))
             for j in cls.J_elems
         )
-        plane = None if cls.J_elems else dropped | {r[0] for r in rows}
         kernels.append(_ClassKernel(cls.index, rows, cols, tuple(j - 1 for j in sorted(cls.L)),
-                                    dropped, plane))
+                                    dropped))
     return spec.model.pair_mul, tuple(kernels)
 
 
@@ -540,12 +543,11 @@ def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKer
             return False, "nonzero point with no support on I", None
         return True, "zero vector", None
 
-    if lead.plane is not None:
-        if all(q is None or k in lead.plane for k, q in enumerate(p)):
-            return True, "coordinate-plane class", lead
-        return False, "support outside the plane class", lead
+    # A class with no finite column is a coordinate plane: its L is every
+    # column outside K, so the zero-threshold test alone decides it.
     if lead.L and any(p[j] is not None for j in lead.L):
-        return False, "support on a zero-threshold column", lead
+        return False, ("support on a zero-threshold column" if lead.cols
+                       else "support outside the plane class"), lead
     rn, rd = row[0][1]
     for _, (a, b) in row:
         if a * rd > rn * b:
@@ -567,25 +569,11 @@ def _decide(spec: HemispaceSpec, x: TVec) -> tuple[bool, str, Optional[_ClassKer
             if owners.isdisjoint(top):
                 reason = f"boundary attained at column {j + 1} is owned by the complement"
                 return False, reason, lead
-    return True, "inside the class halfspace", lead
+    return True, "inside the class halfspace" if lead.cols else "coordinate-plane class", lead
 
 
 def conical_member(spec: HemispaceSpec, x: TVec) -> bool:
     return _decide(spec, x)[0]
-
-
-def conical_member_trace(spec: HemispaceSpec, x: TVec) -> MembershipTrace:
-    """Membership of x in the cone described by the spec, with a trace;
-    the reduced point zeroes the coordinates the leading class drops."""
-    member, reason, lead = _decide(spec, x)
-    if lead is None:
-        return MembershipTrace(member, reason)
-    reduced = x
-    if any(x.p[k] is not None for k in lead.dropped):
-        reduced = _vec(spec.model, tuple(
-            None if k in lead.dropped else q for k, q in enumerate(x.p)
-        ))
-    return MembershipTrace(member, reason, lead.index, reduced)
 
 
 def complement_spec(spec: HemispaceSpec) -> HemispaceSpec:
@@ -728,14 +716,25 @@ SpecLike = Union[HemispaceSpec, AffineHemispace]
 
 
 def member_trace(obj: SpecLike, x: TVec) -> MembershipTrace:
-    """Membership of x in a conical spec or in one side of an affine pair.
+    """Membership of x in a conical spec or in one side of an affine pair,
+    with a trace; the reduced point zeroes the coordinates the leading
+    class drops.
 
     An affine side is decided at the lifted point (x, 1) in the side's
     own cone, so both sides of a pair take the same structural route.
     """
-    if isinstance(obj, HemispaceSpec):
-        return conical_member_trace(obj, x)
-    return conical_member_trace(obj.cone, _lift(obj, x))
+    spec = obj
+    if isinstance(obj, AffineHemispace):
+        spec, x = obj.cone, _lift(obj, x)
+    member, reason, lead = _decide(spec, x)
+    if lead is None:
+        return MembershipTrace(member, reason)
+    reduced = x
+    if any(x.p[k] is not None for k in lead.dropped):
+        reduced = _vec(spec.model, tuple(
+            None if k in lead.dropped else q for k, q in enumerate(x.p)
+        ))
+    return MembershipTrace(member, reason, lead.index, reduced)
 
 
 def affine_member(h: AffineHemispace, x: TVec) -> bool:

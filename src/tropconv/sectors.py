@@ -9,15 +9,17 @@ sector.
 
 Quasisectors have two first-class representations that are proved
 equal and cross-checked in the tests: an inequality predicate and a
-finite generator cone.  A sector takes both from its lifted quasisector.
+finite generator cone.  A sector takes both from its lifted quasisector;
+its predicate reads the one ratio routine, `_top_ratios`, at the payloads
+of (y, 1) and (x, 1), and so does the multiorder oracle in `verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
-from .semiring import InternalInconsistencyError
+from .semiring import InternalInconsistencyError, Model
 from .tlinalg import (
     ConeGen,
     DimensionMismatchError,
@@ -78,16 +80,29 @@ def _check_point(s: SectorId, x: TVec) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {s.base.dim}")
 
 
-def _attained(y: TVec, i: int, x: TVec) -> bool:
-    """Whether supp(x) lies in supp(y) and the maximum of the payload
-    ratios x_j / y_j is attained at i (by Bottom too, for x zero)."""
-    mul, inv = x.model.mul, x.model.inv
-    pairs = list(zip(x.p, y.p))
-    if any(a is not None and b is None for a, b in pairs):
-        return False
-    r = [None if a is None else mul(a, inv(b)) for a, b in pairs]
-    top = max((q for q in r if q is not None), default=None)
-    return r[i - 1] == top
+def _top_ratios(model: Model, y: tuple) -> Callable[[tuple], Sequence[int]]:
+    """The routine that maps payloads x to the 1-based indices k where
+    x_k / y_k is largest: every index when x is zero, and none when
+    supp(x) leaves supp(y).  Each inverse of y is read once, as an integer
+    pair, and `pair_mul` products are compared by cross-multiplication."""
+    pair_mul = model.pair_mul
+    y_inv = [None if q is None else model.inv(q).as_integer_ratio() for q in y]
+
+    def top(x: tuple) -> Sequence[int]:
+        tn, td, hits = 0, 1, []
+        for k, (q, v) in enumerate(zip(x, y_inv), start=1):
+            if q is None:
+                continue
+            if v is None:
+                return ()
+            a, b = pair_mul(*v, q.numerator, q.denominator)
+            if not hits or a * td > tn * b:
+                tn, td, hits = a, b, [k]
+            elif a * td == tn * b:
+                hits.append(k)
+        return hits or range(1, len(x) + 1)
+
+    return top
 
 
 def quasisector_contains(s: SectorId, x: TVec) -> bool:
@@ -95,13 +110,14 @@ def quasisector_contains(s: SectorId, x: TVec) -> bool:
     if s.is_affine_type:
         raise InvalidSectorError("quasisectors have no (n+1) type")
     _check_point(s, x)
-    return _attained(s.base, s.type_index, x)
+    return s.type_index in _top_ratios(x.model, s.base.p)(x.p)
 
 
 def sector_contains(s: SectorId, x: TVec) -> bool:
     """(x, 1) lies in the quasisector of the sector's type at (y, 1)."""
     _check_point(s, x)
-    return _attained(s.base.lift(), s.type_index, x.lift())
+    unit = (x.model.unit,)
+    return s.type_index in _top_ratios(x.model, s.base.p + unit)(x.p + unit)
 
 
 def semispace_contains(s: SectorId, x: TVec) -> bool:

@@ -46,12 +46,7 @@ from .hemispace import (
     upset_of,
     upset_product,
 )
-from .sectors import (
-    SectorId,
-    assemble_from_witnesses,
-    quasisector_gen,
-    sector_contains,
-)
+from .sectors import _top_ratios, assemble_from_witnesses, quasisector_gen
 from .tlinalg import (
     ConeGen,
     PRDecomposition,
@@ -463,15 +458,14 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     n = obj.ambient_dim if affine else obj.n
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match {n}")
-    side_member = affine_member if affine else conical_member
     found: tuple[set, set] = (set(), set())
     decided: tuple[dict, dict] = ({}, {})  # per side: generator key -> in the cone
     cases = 0
     for x in grid.points():
         if x.is_zero() and not affine:
             continue
-        which = 0 if side_member(sides[0], x) else 1
         y = x.lift() if affine else x
+        which = 0 if conical_member(cones[0], y) else 1
         cone, seen = cones[which], decided[which]
         supp = sorted(support(y))
         hit = None
@@ -510,19 +504,16 @@ def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
     witness assembly at the lifted level.
 
     The members are indexed by sector.  w lies in the type-i sector at y
-    iff supp(w) lies in supp(y) and w_i / y_i attains max_j w_j / y_j,
-    the lifted coordinate taking part with ratio 1 as type n+1.  So one
-    pass over the members whose support fits reads off every type each
-    member covers, and the first member of each type, in grid order, is
-    its witness once `sector_contains` confirms it.
+    iff supp(w) lies in supp(y) and i is an index where (w, 1)_k / (y, 1)_k
+    is largest, type n+1 being the lifted coordinate.  So the sectors'
+    ratio routine, built once at (y, 1), reads off every type that a
+    fitting member covers, and the first member of each type, in grid
+    order, is its witness.
     """
     table = [(y, pr_member(y, d)) for y in grid.points()]
     members = [(x, support(x)) for x, inside in table if inside]
-    model, extra = grid.model, grid.n + 1
-    # Ratios are unreduced integer pairs (a, b), b > 0, compared by
-    # cross-multiplication as in the membership kernel.
-    pair_mul, unit = model.pair_mul, model.unit.as_integer_ratio()
-    fitting: dict[frozenset, list] = {}  # supp(y) -> (w, payload pairs) of the fitting members
+    model, unit = grid.model, (grid.model.unit,)
+    fitting: dict[frozenset, list] = {}  # supp(y) -> lifted payloads of the fitting members
     cases = 0
     for y, is_member in table:
         cases += 1
@@ -533,21 +524,12 @@ def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
             continue
         supp = support(y)
         if supp not in fitting:
-            fitting[supp] = [(w, [(k, q.numerator, q.denominator)
-                                  for k, q in enumerate(w.p) if q is not None])
-                             for w, s in members if s <= supp]
-        y_inv = [None if q is None else model.inv(q).as_integer_ratio() for q in y.p]
+            fitting[supp] = [w.p + unit for w, s in members if s <= supp]
+        top = _top_ratios(model, y.p + unit)
         witnesses = {}
-        for w, pairs in fitting[supp]:
-            ratios = [(pair_mul(a, b, *y_inv[k]), k + 1) for k, a, b in pairs]
-            ratios.append((unit, extra))
-            tn, td = unit
-            for (a, b), _ in ratios:
-                if a * td > tn * b:
-                    tn, td = a, b
-            for (a, b), i in ratios:
-                if a * td == tn * b and i not in witnesses and sector_contains(SectorId(y, i), w):
-                    witnesses[i] = w.lift()
+        for w in fitting[supp]:
+            for i in top(w):
+                witnesses.setdefault(i, w)
             if len(witnesses) > len(supp):
                 break
         meets = len(witnesses) > len(supp)
@@ -559,7 +541,7 @@ def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
         if meets:
             # Exact certificate: reassemble the lifted point from its
             # lifted quasisector witnesses.
-            assemble_from_witnesses(y.lift(), witnesses)
+            assemble_from_witnesses(y.lift(), {i: _vec(model, w) for i, w in witnesses.items()})
     return Verdict("multiorder", True, cases)
 
 

@@ -20,7 +20,7 @@ from tropconv.hemispace import (
     affine_member,
     complement_spec,
     conical_member,
-    conical_member_trace,
+    member_trace,
 )
 from tropconv.render2d import RenderConfig, build_geometry, render_svg
 from tropconv.semiring import TScalar, t_mul
@@ -370,7 +370,7 @@ def test_cli_member_explain_follows_the_side(tmp_path, capsys, contains_zero, cl
             lines = capsys.readouterr().out.splitlines()
             inside = affine_member(side, x)
             assert (code, lines[0]) == ((0, "IN") if inside else (1, "OUT"))
-            reason = conical_member_trace(cone, x.lift()).reason
+            reason = member_trace(cone, x.lift()).reason
             assert lines[1] == f"  reason: {reason}", (contains_zero, complement, str(x))
 
 

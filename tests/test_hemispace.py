@@ -225,22 +225,21 @@ def test_crossing_products_violate():
 
 def _rank_one_check_ordered(spec):
     """Reference: every ordered quadruple (i1, i2, j1, j2), diagonals
-    included, with both equations tested at each."""
+    included, with both equations tested at each.  Each cell's down-set
+    and up-set is built once per spec."""
     I, J = sorted(spec.I), sorted(spec.J)
+    down = {(i, j): spec.entry(i, j) for i in I for j in J}
+    up = {key: upset_of(b) for key, b in down.items()}
     for i1 in I:
         for i2 in I:
             for j1 in J:
                 for j2 in J:
-                    up1 = upset_product(
-                        upset_of(spec.entry(i1, j2)), upset_of(spec.entry(i2, j1))
-                    )
-                    down1 = downset_product(spec.entry(i1, j1), spec.entry(i2, j2))
+                    up1 = upset_product(up[i1, j2], up[i2, j1])
+                    down1 = downset_product(down[i1, j1], down[i2, j2])
                     if down_up_overlap(down1, up1):
                         return Violation(i1, i2, j1, j2, 1, down1, up1)
-                    up2 = upset_product(
-                        upset_of(spec.entry(i1, j1)), upset_of(spec.entry(i2, j2))
-                    )
-                    down2 = downset_product(spec.entry(i1, j2), spec.entry(i2, j1))
+                    up2 = upset_product(up[i1, j1], up[i2, j2])
+                    down2 = downset_product(down[i1, j2], down[i2, j1])
                     if down_up_overlap(down2, up2):
                         return Violation(i1, i2, j1, j2, 2, down2, up2)
     return None
@@ -301,8 +300,9 @@ def _mutate_one_entry(rng, spec):
 
 def test_build_decides_exactly_as_the_minor_walk(monkeypatch):
     walks = []
-    monkeypatch.setattr(hemispace, "rank_one_check",
-                        lambda spec: walks.append(spec) or rank_one_check(spec))
+    first_violation = hemispace._first_violation
+    monkeypatch.setattr(hemispace, "_first_violation",
+                        lambda spec: walks.append(spec) or first_violation(spec))
     rng = random.Random(7)
     outcomes = []
 
@@ -332,6 +332,21 @@ def test_build_decides_exactly_as_the_minor_walk(monkeypatch):
             agree(random_violated_spec(rng, model, max(n, 4))[0])
     valid = sum(outcomes)
     assert 0.2 * len(outcomes) <= valid <= 0.8 * len(outcomes), valid
+
+
+def test_a_rejected_build_derives_the_laws_once(monkeypatch):
+    derived = []
+    laws = hemispace.thin_structure
+    monkeypatch.setattr(hemispace, "thin_structure",
+                        lambda spec: derived.append(spec) or laws(spec))
+    rng = random.Random(17)
+    for k in range(40):
+        raw, v = random_violated_spec(rng, (MT, MP)[k % 2], 4 + k % 4)
+        derived.clear()
+        with pytest.raises(RankOneError) as info:
+            _build(raw)
+        assert len(derived) == 1
+        assert info.value.violation == v == _rank_one_check_ordered(raw)
 
 
 def test_rank_one_check_that_trusts_every_spec_disagrees_with_the_walk(monkeypatch):

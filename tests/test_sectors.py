@@ -283,3 +283,22 @@ def test_sector_formulas_equal_the_direct_references():
 def test_a_strict_sector_reference_disagrees():
     assert any(sector_contains(SectorId(y, t), x) != _reference_sector_contains(y, i, x, True)
                for _, points, y, i, t in _sector_cases() if i is not None for x in points)
+
+
+def test_sector_predicates_build_no_lifted_vector(monkeypatch):
+    # The sector is read at (y, 1) from payloads; no lifted TVec is built.
+    lifts = []
+    lift = TVec.lift
+    monkeypatch.setattr(TVec, "lift", lambda x: lifts.append(x) or lift(x))
+    tested = 0
+    for _, points, y, i, t in _sector_cases():
+        sid = SectorId(y, t)
+        for x in points[::5]:
+            sector_contains(sid, x)
+            semispace_contains(sid, x)
+            if i is not None:
+                quasisector_contains(sid, x)
+            tested += 1
+    assert tested > 1000 and not lifts
+    vec("[1, 0]").lift()  # the patched lift does count
+    assert len(lifts) == 1

@@ -16,7 +16,13 @@ from tropconv.hemispace import (
     other_side,
     rank_one_check,
 )
-from tropconv.sectors import SectorId, assemble_from_witnesses, quasisector_gens, sector_contains
+from tropconv.sectors import (
+    SectorId,
+    _top_ratios,
+    assemble_from_witnesses,
+    quasisector_gens,
+    sector_contains,
+)
 from tropconv.semiring import InternalInconsistencyError, ModelMismatchError, TScalar
 from tropconv import verify
 from tropconv.specio import canonical_text
@@ -534,13 +540,19 @@ def test_sector_union_and_multiorder_negative_control(monkeypatch):
         assert bad.counterexample.endswith("no contained sector on its own side")
     monkeypatch.undo()
 
-    # A sector predicate that leaves out the sector's own base point:
-    # the single hull point then covers none of its own sectors.
-    monkeypatch.setattr(verify, "sector_contains",
-                        lambda sid, w: w != sid.base and sector_contains(sid, w))
+    # A ratio routine that names no type for its own base point: the
+    # single hull point then covers none of its own sectors.
+    monkeypatch.setattr(verify, "_top_ratios", _blind_to_the_base)
     bad = multiorder_invariant_check(d, grid2)
     assert not bad.passed
     assert bad.counterexample == "y=[1, 0]: member=True but sector coverage=False"
+
+
+def _blind_to_the_base(model, y):
+    """The sectors' ratio routine at y, except that it names no type for
+    the payloads of y itself (a negative control)."""
+    top = _top_ratios(model, y)
+    return lambda x: () if x == y else top(x)
 
 
 def _reference_multiorder(d: PRDecomposition, grid: GridSpec, contains=sector_contains) -> Verdict:
@@ -574,32 +586,33 @@ def _reference_multiorder(d: PRDecomposition, grid: GridSpec, contains=sector_co
 
 
 def test_multiorder_decides_each_point_once(monkeypatch):
-    # Each grid point is decided once, and the sector index confirms one
-    # witness per sector type: at most |supp(y)| + 1 `sector_contains`
-    # calls per nonzero point, where the reference scan makes one per
-    # member it passes over.
-    calls, sectors = [], []
+    # Each grid point is decided once, and the sectors' ratio routine is
+    # built once per nonzero grid point, at the lifted point (y, 1), where
+    # the reference scan tests every sector against every member it
+    # passes over.
+    calls, built = [], []
     decide = verify.pr_member
     monkeypatch.setattr(verify, "pr_member", lambda x, d: calls.append(x) or decide(x, d))
-    monkeypatch.setattr(verify, "sector_contains",
-                        lambda sid, w: sectors.append(sid) or sector_contains(sid, w))
+    monkeypatch.setattr(verify, "_top_ratios",
+                        lambda model, y: built.append(y) or _top_ratios(model, y))
     rng = random.Random(31)
     for model in (MT, MP):
         for n, draws in ((2, 4), (3, 4), (4, 2)):
             grid = make_grid(model, n, spanning=False)
-            bound = sum(len(support(y)) + 1 for y in grid.points() if not y.is_zero())
+            lifted = [y.lift().p for y in grid.points() if not y.is_zero()]
             for _ in range(draws):
                 d = random_pr(rng, model, n)
-                del calls[:], sectors[:]
+                del calls[:], built[:]
                 got = multiorder_invariant_check(d, grid)
                 assert len(calls) == grid.size and len(set(calls)) == grid.size
-                assert len(sectors) <= bound
+                assert built == lifted
                 assert got == _reference_multiorder(d, grid) and got.passed
-    # A broken sector predicate fails both the same way.
+    # A routine blind to its base point fails both the same way as a
+    # sector predicate that leaves out the sector's base point.
     def broken(sid, w):
         return w != sid.base and sector_contains(sid, w)
 
-    monkeypatch.setattr(verify, "sector_contains", broken)
+    monkeypatch.setattr(verify, "_top_ratios", _blind_to_the_base)
     d = PRDecomposition.of(MT, 2, {vec("[1, 0]")}, set())
     bad = multiorder_invariant_check(d, make_grid(MT, 2))
     assert not bad.passed and bad == _reference_multiorder(d, make_grid(MT, 2), broken)
