@@ -191,14 +191,14 @@ def _parse_sector(args, model: Model) -> SectorId:
     if y.dim > MAX_SECTOR_DIM:
         raise CliError(f"base point has {y.dim} coordinates, more than {MAX_SECTOR_DIM}")
     token = args.type.strip()
-    if token in ("n+1", str(y.dim + 1)):
+    try:
+        idx = y.dim + 1 if token == "n+1" else int(token)
+    except ValueError:
+        raise CliError(f"bad type index {quote_token(token)}")
+    if idx == y.dim + 1:
         if args.quasi:
             raise CliError("quasisectors have no n+1 type")
         return SectorId.affine(y)
-    try:
-        idx = int(token)
-    except ValueError:
-        raise CliError(f"bad type index {quote_token(token)}")
     try:
         return SectorId.of_support(y, idx)
     except ValueError as exc:
@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
     obj = _load(args.path, parse_spec_text)
     base = _base_spec(obj)
     n = obj.ambient_dim if isinstance(obj, AffineHemispace) else base.n
-    if args.grid:
+    if args.grid is not None:
         try:
             values = tuple(
                 sorted(

@@ -6,17 +6,18 @@ as production code, and a failing check always carries a counterexample
 that reproduces the failure standalone.  Randomised sampling takes an
 explicit seed; identical seeds give identical verdicts.
 
-The closure and segment oracles decide on index tuples.  Each call
-first decides every grid point once into a table from index tuple to
-membership.  Points off the grid -- scalar multiples, segment points --
-live on an extended axis: the sorted grid values together with their
-products by the call's scalars or segment coefficients.  On that axis a
-scaling is a per-coordinate index map and, the axis being sorted, the
-tropical sum of two points is the coordinatewise max of their indices;
-a per-call memo decides each distinct tuple once.  Join-closure of the
-whole grid is decided by a lower-neighbour pass (see `_join_closed`);
-only when it fails does the row-major pair scan run, to name the first
-failing pair.
+Every grid oracle decides on index tuples.  Each call first decides
+every grid point once into a table from index tuple to membership:
+`_grid_table` is the one walk of the grid, and every membership memo is
+keyed by a tuple of ints.  Points off the grid -- scalar multiples,
+segment points -- live on an extended axis: the sorted grid values
+together with their products by the call's scalars or segment
+coefficients.  On that axis a scaling is a per-coordinate index map
+and, the axis being sorted, the tropical sum of two points is the
+coordinatewise max of their indices; a per-call memo decides each
+distinct tuple once.  Join-closure of the whole grid is decided by a
+lower-neighbour pass (see `_join_closed`); only when it fails does the
+row-major pair scan run, to name the first failing pair.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .tlinalg import (
     _vec,
     cone_member_fg,
     pr_member,
-    support,
 )
 
 MemberFn = Callable[[TVec], bool]
@@ -156,18 +156,15 @@ def pair_partition_check(
     side1: MemberFn, side2: MemberFn, grid: GridSpec, zero_in_both: bool,
     name: str = "partition",
 ) -> Verdict:
-    """Every grid point claimed by exactly one side (zero by both for cones)."""
-    cases = 0
-    for x in grid.points():
-        cases += 1
-        m1, m2 = side1(x), side2(x)
-        if zero_in_both and x.is_zero():
-            ok = m1 and m2
-        else:
-            ok = m1 != m2
-        if not ok:
-            return Verdict(name, False, cases, f"x={x}, side1={m1}, side2={m2}")
-    return Verdict(name, True, cases)
+    """Every grid point claimed by exactly one side (zero by both for cones;
+    zero is the all-zero index tuple when the axis starts at Bottom)."""
+    table1, table2 = _grid_table(side1, grid), _grid_table(side2, grid)
+    zero = (0,) * grid.n if zero_in_both and grid.payloads[:1] == (None,) else None
+    for cases, (idx, m1) in enumerate(table1.items(), start=1):
+        m2 = table2[idx]
+        if not (m1 and m2 if idx == zero else m1 != m2):
+            return Verdict(name, False, cases, f"x={grid.point(idx)}, side1={m1}, side2={m2}")
+    return Verdict(name, True, grid.size)
 
 
 def partition_check(obj, grid: GridSpec) -> Verdict:
@@ -449,8 +446,10 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
 
     A cone holds a quasisector iff it holds each generator
     e_i + (y_j / y_i) e_j, which depends only on (i, j, y_i, y_j).  Each
-    call decides every such generator at most once per side, keyed by
-    i, j and the payloads of y_i and y_j; grid points share most keys.
+    point's side is read from one grid table, and each call decides every
+    such generator at most once per side, keyed by i, j and the value
+    indices of y_i and y_j (the lifted coordinate, always the unit, has
+    index len(values)); a generator is built only on a memo miss.
     """
     affine = isinstance(obj, AffineHemispace)
     sides = obj, other_side(obj)
@@ -458,24 +457,26 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
     n = obj.ambient_dim if affine else obj.n
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match {n}")
+    payloads, lifted = grid.payloads + (grid.model.unit,), (len(grid.values),) if affine else ()
+    table = _grid_table(lambda x: conical_member(cones[0], x.lift() if affine else x), grid)
     found: tuple[set, set] = (set(), set())
     decided: tuple[dict, dict] = ({}, {})  # per side: generator key -> in the cone
     cases = 0
-    for x in grid.points():
-        if x.is_zero() and not affine:
+    for idx, on_first in table.items():
+        t = idx + lifted
+        supp = [c for c, k in enumerate(t, start=1) if payloads[k] is not None]
+        if not supp:
             continue
-        y = x.lift() if affine else x
-        which = 0 if conical_member(cones[0], y) else 1
+        which = 0 if on_first else 1
         cone, seen = cones[which], decided[which]
-        supp = sorted(support(y))
         hit = None
         for i in supp:
             cases += 1
-            y_i = y.p[i - 1]
             for j in supp:
-                key = (i, j, y_i, y.p[j - 1])
+                key = (i, j, t[i - 1], t[j - 1])
                 inside = seen.get(key)
                 if inside is None:
+                    y = _vec(grid.model, tuple(payloads[k] for k in t))
                     inside = seen[key] = conical_member(cone, quasisector_gen(y, i, j))
                 if not inside:
                     break
@@ -484,7 +485,7 @@ def sector_union_check(obj, grid: GridSpec) -> Verdict:
                 break
         if hit is None:
             return Verdict("sector-union", False, cases,
-                           f"x={x}: no contained sector on its own side")
+                           f"x={grid.point(idx)}: no contained sector on its own side")
         found[which].add(hit)
     if found[0] & found[1]:
         return Verdict("sector-union", False, cases,
@@ -508,24 +509,26 @@ def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
     is largest, type n+1 being the lifted coordinate.  So the sectors'
     ratio routine, built once at (y, 1), reads off every type that a
     fitting member covers, and the first member of each type, in grid
-    order, is its witness.
+    order, is its witness.  Only a certificate or a message builds a vector.
     """
-    table = [(y, pr_member(y, d)) for y in grid.points()]
-    members = [(x, support(x)) for x, inside in table if inside]
-    model, unit = grid.model, (grid.model.unit,)
+    table = _grid_table(lambda y: pr_member(y, d), grid)
+    model, payloads, unit = grid.model, grid.payloads, (grid.model.unit,)
+    supports = {idx: frozenset(c for c, k in enumerate(idx, 1) if payloads[k] is not None)
+                for idx in table}
+    members = [idx for idx, inside in table.items() if inside]
     fitting: dict[frozenset, list] = {}  # supp(y) -> lifted payloads of the fitting members
-    cases = 0
-    for y, is_member in table:
-        cases += 1
-        if y.is_zero():
-            meets = any(w.is_zero() for w, _ in members)
+    for cases, (idx, is_member) in enumerate(table.items(), start=1):
+        supp = supports[idx]
+        if not supp:
+            meets = any(not supports[w] for w in members)
             if is_member != meets:
-                return Verdict("multiorder", False, cases, f"y={y} (zero case)")
+                return Verdict("multiorder", False, cases, f"y={grid.point(idx)} (zero case)")
             continue
-        supp = support(y)
         if supp not in fitting:
-            fitting[supp] = [w.p + unit for w, s in members if s <= supp]
-        top = _top_ratios(model, y.p + unit)
+            fitting[supp] = [tuple(payloads[k] for k in w) + unit
+                             for w in members if supports[w] <= supp]
+        y = tuple(payloads[k] for k in idx) + unit
+        top = _top_ratios(model, y)
         witnesses = {}
         for w in fitting[supp]:
             for i in top(w):
@@ -536,13 +539,14 @@ def multiorder_invariant_check(d: PRDecomposition, grid: GridSpec) -> Verdict:
         if is_member != meets:
             return Verdict(
                 "multiorder", False, cases,
-                f"y={y}: member={is_member} but sector coverage={meets}",
+                f"y={grid.point(idx)}: member={is_member} but sector coverage={meets}",
             )
         if meets:
             # Exact certificate: reassemble the lifted point from its
             # lifted quasisector witnesses.
-            assemble_from_witnesses(y.lift(), {i: _vec(model, w) for i, w in witnesses.items()})
-    return Verdict("multiorder", True, cases)
+            assemble_from_witnesses(_vec(model, y),
+                                    {i: _vec(model, w) for i, w in witnesses.items()})
+    return Verdict("multiorder", True, grid.size)
 
 
 # ----------------------------------------------------------------------

@@ -497,6 +497,22 @@ def test_cli_sectors_bounds_the_base_dimension(capsys, quasi):
     assert capsys.readouterr().out == "IN\n"
 
 
+@pytest.mark.parametrize("token", ["3", "03", "+3", " 3 ", "n+1"])
+@pytest.mark.parametrize("quasi", [False, True], ids=["sector", "quasi"])
+def test_cli_sectors_reads_the_extra_type_as_an_integer(capsys, token, quasi):
+    # At n = 2 every spelling of the integer 3 is the extra type n+1: a
+    # sector takes it, a quasisector has none.  "03" and "+3" once fell
+    # through to the support check.
+    argv = ["sectors", "gens", "--base", "[1,2]", "--type", token]
+    if quasi:
+        assert main([*argv, "--quasi"]) == 2
+        assert capsys.readouterr() == ("", "error: quasisectors have no n+1 type\n")
+    else:
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("hull/ray form of sector type n+1 at [1, 2]:\n"
+                                       "  P [0, 0]\n  P [0, 2]\n  P [1, 0]\n", "")
+
+
 def test_cli_verify(worked_file, capsys):
     assert main(["verify", worked_file, "--samples", "40", "--seed", "11"]) == 0
     out, err = capsys.readouterr().out, ""
@@ -551,6 +567,15 @@ def test_cli_verify_bounds_the_grid(tmp_path, monkeypatch, capsys):
     assert len(sizes) == len(files) and max(sizes) > 10 ** 4
     assert max(sizes) <= MAX_GRID_POINTS
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("values", ["", " ", ","])
+def test_cli_verify_rejects_an_empty_grid(values, capsys):
+    # An explicit empty grid once ran the default grid instead.
+    conical = str(SPEC_FILES[0].parent / "conical-4d.json")
+    assert main(["verify", conical, "--grid", values]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad grid: ") and len(err) < 300
 
 
 @pytest.mark.parametrize("argv", [

@@ -334,6 +334,44 @@ def test_build_decides_exactly_as_the_minor_walk(monkeypatch):
     assert 0.2 * len(outcomes) <= valid <= 0.8 * len(outcomes), valid
 
 
+@pytest.mark.parametrize("model", [MT, MP], ids=["max-times", "max-plus"])
+def test_every_2x2_boundary_matrix_is_decided_as_the_minor_walk(monkeypatch, model):
+    # All 8**4 matrices over zero, inf, and three finite values each open
+    # or closed (1/2, 1, 2 in max-times and their image -1, 0, 1 in
+    # max-plus): the laws, the minor walk and the reference agree.
+    failed = []
+    laws = hemispace.thin_structure
+
+    def recording(spec):
+        try:
+            return laws(spec)
+        except InternalInconsistencyError as exc:
+            failed.append(str(exc))
+            raise
+
+    monkeypatch.setattr(hemispace, "thin_structure", recording)
+    finite = _TOKENS[model][2:]
+    alphabet = [bset("zero", True, model), bset("inf", False, model),
+                *(bset(t, closed, model) for t in finite for closed in (False, True))]
+    cells = [(1, 3), (1, 4), (2, 3), (2, 4)]
+    valid = 0
+    for entries in itertools.product(alphabet, repeat=4):
+        raw = HemispaceSpec.raw(model, 4, [1, 2], [3, 4], dict(zip(cells, entries)))
+        expected = _rank_one_check_ordered(raw)
+        assert rank_one_check(raw) == expected
+        try:
+            _build(raw)
+        except RankOneError as exc:
+            assert exc.violation == expected is not None
+        else:
+            assert expected is None
+            valid += 1
+    assert valid == 856
+    assert set(failed) == {"strict column sets are not nested",
+                           "gauge factorisation failed on a finite entry",
+                           "descending chain law failed between classes"}
+
+
 def test_a_rejected_build_derives_the_laws_once(monkeypatch):
     derived = []
     laws = hemispace.thin_structure

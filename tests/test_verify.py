@@ -460,6 +460,39 @@ def test_closure_and_segments_decide_each_point_once():
                 assert len(asked) == len(set(asked)) >= grid.size
 
 
+def test_every_oracle_walks_the_grid_through_its_table(monkeypatch):
+    # No oracle walks GridSpec.points: each reads the grid as index tuples
+    # through one table, and the verdicts are those of an unpatched run.
+    spec = worked_example()
+    h = random_valid_affine(random.Random(3), MP, 2)
+    grid, affine_grid = grid_for_spec(spec), grid_for_spec(h.base, 2)
+    side, far = (lambda x: conical_member(spec, x)), (lambda x: affine_member(h, x))
+    d = random_pr(random.Random(4), MT, 2)
+    runs = [
+        lambda: partition_check(spec, grid),
+        lambda: affine_partition_check(h, affine_grid),
+        lambda: closure_check(side, grid, None, closure_scalars(MT)),
+        lambda: closure_check(side, grid, 200, closure_scalars(MT), seed=2),
+        lambda: segment_convexity_check(side, grid, 100, 5, seed=2),
+        lambda: segment_convexity_check(far, affine_grid, 100, 5, seed=2),
+        lambda: sector_union_check(spec, grid),
+        lambda: sector_union_check(h, affine_grid),
+        lambda: multiorder_invariant_check(d, make_grid(MT, 2)),
+        lambda: run_properties(spec, grid, 60, 1, "all"),
+        lambda: run_properties(h, affine_grid, 60, 1, "all"),
+    ]
+    expected = [run() for run in runs]
+
+    def no_walk(self):
+        raise AssertionError("an oracle walked GridSpec.points")
+
+    monkeypatch.setattr(GridSpec, "points", no_walk)
+    for run, want in zip(runs, expected):
+        got = run()
+        assert got == want
+        assert all(v.passed for v in (got if isinstance(got, list) else [got]))
+
+
 def test_bad_factors_and_ladders_raise_as_before():
     grid = make_grid(MT, 2)
     member = _box_le_2
