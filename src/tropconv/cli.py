@@ -3,7 +3,10 @@
 Subcommands: check, complement, member, thin, halfspace, render2d,
 sectors (with `test` and `gens` actions), verify.  Exit codes: 0 on
 success, 1 on a semantic result (rank-one violation, OUT, failed
-property), 2 on usage or parse errors.
+property), 2 on bad input.  `main` is the one boundary that turns any
+`ValueError` into `error: <message>` and exit 2, so a command catches
+one only to add context or to pick another exit code.  A bug raises
+`InternalInconsistencyError`, a `RuntimeError`, and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -60,10 +63,8 @@ MAX_GRID_POINTS = 250_000
 MAX_SECTOR_DIM = 500  # longest `sectors` base point; `gens` prints dim**2 coordinates
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Bad input that `main` reports as `error: <message>`, exit 2."""
 
 
 def _load(path: str, parse):
@@ -116,11 +117,7 @@ def cmd_complement(args) -> int:
 def cmd_member(args) -> int:
     obj = _load(args.path, parse_spec_text)
     side = other_side(obj) if args.complement else obj
-    try:  # a malformed vector or one of the wrong length
-        x = parse_vector(args.vector, _base_spec(obj).model)
-        trace = member_trace(side, x)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    trace = member_trace(side, parse_vector(args.vector, _base_spec(obj).model))
     print("IN" if trace.member else "OUT")
     if args.explain:
         print(f"  reason: {trace.reason}")
@@ -174,24 +171,19 @@ def cmd_render2d(args) -> int:
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad render options: {exc}")
-    try:
-        svg = render_svg(obj, config)
-    except SpecError as exc:
-        raise CliError(str(exc))
-    _write(args.output, svg)
+    _write(args.output, render_svg(obj, config))
     print(f"wrote {args.output}")
     return OK
 
 
 def _parse_sector(args, model: Model) -> SectorId:
-    try:
-        y = parse_vector(args.base, model)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    y = parse_vector(args.base, model)
     if y.dim > MAX_SECTOR_DIM:
         raise CliError(f"base point has {y.dim} coordinates, more than {MAX_SECTOR_DIM}")
     token = args.type.strip()
-    try:
+    try:  # a long token is refused before int() reads thousands of digits
+        if len(token) > MAX_TOKEN_CHARS:
+            raise ValueError
         idx = y.dim + 1 if token == "n+1" else int(token)
     except ValueError:
         raise CliError(f"bad type index {quote_token(token)}")
@@ -199,17 +191,11 @@ def _parse_sector(args, model: Model) -> SectorId:
         if args.quasi:
             raise CliError("quasisectors have no n+1 type")
         return SectorId.affine(y)
-    try:
-        return SectorId.of_support(y, idx)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return SectorId.of_support(y, idx)
 
 
 def cmd_sectors(args) -> int:
-    try:
-        model = Model.parse(args.model)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    model = Model.parse(args.model)
     sid = _parse_sector(args, model)
     if args.action == "gens":
         if args.quasi:
@@ -225,16 +211,13 @@ def cmd_sectors(args) -> int:
             for r in sorted(d.R, key=TVec.sort_key):
                 print(f"  R {r}")
         return OK
-    try:  # a malformed point or one of the wrong length
-        x = parse_vector(args.point, model)
-        if args.quasi:
-            inside = quasisector_contains(sid, x)
-        elif args.semispace:
-            inside = semispace_contains(sid, x)
-        else:
-            inside = sector_contains(sid, x)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    x = parse_vector(args.point, model)
+    if args.quasi:
+        inside = quasisector_contains(sid, x)
+    elif args.semispace:
+        inside = semispace_contains(sid, x)
+    else:
+        inside = sector_contains(sid, x)
     print("IN" if inside else "OUT")
     return OK if inside else SEMANTIC_FAIL
 
@@ -259,10 +242,7 @@ def cmd_verify(args) -> int:
     if grid.size > MAX_GRID_POINTS:
         raise CliError(f"grid of {len(grid.values)} values in {n} dimensions has more than "
                        f"{MAX_GRID_POINTS} points")
-    try:
-        verdicts = run_properties(obj, grid, args.samples, args.seed, args.property)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    verdicts = run_properties(obj, grid, args.samples, args.seed, args.property)
     for v in verdicts:
         print(json.dumps(v.to_record()))
     failed = [v for v in verdicts if not v.passed]
@@ -368,9 +348,9 @@ def main(argv=None) -> int:
         parser.error("sectors gens has no --semispace form")
     try:
         return args.fn(args)
-    except CliError as exc:
+    except ValueError as exc:  # every bad input, CliError and the library's own
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE
 
 
 if __name__ == "__main__":

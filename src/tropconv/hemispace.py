@@ -325,9 +325,12 @@ def rank_one_check(spec: HemispaceSpec) -> Optional[Violation]:
     Validity is read from the thin-structure laws, which hold exactly
     when no quadruple fails; a spec with one row or one column has no
     2x2 minor and passes at once.  Only when a law fails are the minors
-    walked, to name the violation.  Each minor (i1 < i2, j1 < j2) is
-    tested once, in lexicographic order, equation 1 before equation 2.
-    That decides every ordered quadruple: equation 2 at (j1, j2) is
+    walked, to name the violation, and only within the first row pair
+    (i1 < i2) whose own two-row laws fail, since a row pair whose laws
+    hold has no failing minor.  There each minor (j1 < j2) is tested
+    once, in order, equation 1 before equation 2, so the violation is
+    the first in lexicographic order of (i1, i2, j1, j2).  That decides
+    every ordered quadruple: equation 2 at (j1, j2) is
     equation 1 at (j2, j1), and swapping both pairs leaves each equation
     unchanged.  A quadruple with i1 = i2 or j1 = j2 never fails, because
     anything outside a down-set lies above all of it.
@@ -341,8 +344,17 @@ def rank_one_check(spec: HemispaceSpec) -> Optional[Violation]:
 
 
 def _first_violation(spec: HemispaceSpec) -> Violation:
-    """The minor walk of `rank_one_check`, for a spec whose laws fail."""
+    """The minor walk of `rank_one_check`, for a spec whose laws fail.
+
+    Row pairs whose two-row laws hold are skipped, at O(|J|) each, so
+    a walk costs O(|I|^2 |J| + |J|^2), not O(|I|^2 |J|^2).  A spec with
+    two rows is its own row pair, whose laws already failed."""
     for i1, i2 in combinations(sorted(spec.I), 2):
+        if len(spec.I) > 2:
+            rows = HemispaceSpec(spec.model, spec.n, frozenset((i1, i2)), spec.J, spec.sigma)
+            with suppress(InternalInconsistencyError):
+                thin_structure(rows)
+                continue
         for j1, j2 in combinations(sorted(spec.J), 2):
             a, b = spec.entry(i1, j1), spec.entry(i1, j2)
             c, d = spec.entry(i2, j1), spec.entry(i2, j2)
@@ -352,6 +364,7 @@ def _first_violation(spec: HemispaceSpec) -> Violation:
             ):
                 if down_up_overlap(down, up):
                     return Violation(i1, i2, j1, j2, side, down, up)
+        break  # the laws of this row pair fail, so one of its minors must
     raise InternalInconsistencyError("a thin-structure law fails but no 2x2 minor does")
 
 

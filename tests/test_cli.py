@@ -286,6 +286,18 @@ def test_cli_long_user_strings_are_quoted_short(worked_file, tmp_path, capsys, a
     assert "(5000 characters)" in captured.err and len(captured.err.encode()) < 300
 
 
+def test_cli_a_long_numeric_type_index_is_quoted_short(capsys):
+    # Unbounded, int() reads up to 4,300 digits and the type index is
+    # printed whole in "type index ... is not in supp(base)".
+    argv = ["sectors", "gens", "--base", "[1,2]", "--type", "9" * 4000]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad type index '99999" in captured.err
+    assert "(4000 characters)" in captured.err and len(captured.err.encode()) < 200
+    assert main([*argv[:-1], "9" * 100]) == 2  # at the limit the index is read
+    assert "is not in supp" in capsys.readouterr().err
+
+
 def test_cli_affine_flag_must_be_a_boolean(tmp_path, capsys):
     path = tmp_path / "string-flag.json"
     path.write_text(SECTOR_BOX.replace('"affine": true', '"affine": "false"'))
@@ -743,3 +755,71 @@ def test_render_svg_options():
         RenderConfig(window=(Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         RenderConfig(resolution=8)
+
+
+def _plane_spec(I, sigma, contains_zero=None):
+    """A max-times spec over two coordinates, affine when contains_zero is
+    given; sigma maps (i, j) to (threshold, closed)."""
+    doc = {"model": "max-times", "n": 2, "I": I, "J": sorted({j for _, j in sigma}),
+           "sigma": [{"i": i, "j": j, "threshold": t, "closed": c}
+                     for (i, j), (t, c) in sigma.items()]}
+    if contains_zero is not None:
+        doc.update(affine=True, contains_zero=contains_zero)
+    return parse_spec_text(json.dumps(doc))
+
+
+def _feature_lines(obj) -> list[str]:
+    """The SVG lines between the background and the frame."""
+    return render_svg(obj).splitlines()[2:-3]
+
+
+SHADE, EDGE = 'fill="#7fb2e5"', 'stroke="#16324f" stroke-width="2"'
+BOX_POLY = f'<polygon points="24,280 280,280 280,24 24,24" {SHADE} stroke="none"/>'
+
+
+@pytest.mark.parametrize("I, sigma, features", [
+    ([1], {(1, 2): ("inf", False)}, [
+        '<line x1="24" y1="280" x2="280" y2="280" stroke="#7fb2e5" stroke-width="3"/>',
+        BOX_POLY,
+        f'<line x1="24" y1="280" x2="24" y2="24" {EDGE} stroke-dasharray="6,5"/>',
+    ]),
+    ([3], {(3, 1): ("zero", True), (3, 2): ("2", True)}, [
+        '<line x1="24" y1="280" x2="24" y2="152" stroke="#7fb2e5" stroke-width="3"/>',
+        f'<line x1="24" y1="152" x2="24" y2="152" {EDGE}/>',  # zero length
+    ]),
+    ([3], {(3, 1): ("zero", True), (3, 2): ("zero", True)}, [
+        f'<circle cx="24" cy="280" r="3" {SHADE}/>',
+    ]),
+    ([1, 3], {(1, 2): ("1", True), (3, 2): ("inf", False)}, [
+        BOX_POLY,
+        f'<polygon points="24,280 280,280 280,24" {SHADE} stroke="none"/>',
+    ]),
+    ([3], {(3, 1): ("inf", False), (3, 2): ("1", True)}, [
+        f'<polygon points="24,280 280,280 280,216 24,216" {SHADE} stroke="none"/>',
+        f'<line x1="24" y1="216" x2="280" y2="216" {EDGE}/>',
+    ]),
+    ([1, 3], {(1, 2): ("inf", False), (3, 2): ("1", True)}, [
+        f'<polygon points="24,280 280,280 280,216 24,216" {SHADE} stroke="none"/>',
+        BOX_POLY,
+        f'<line x1="24" y1="280" x2="24" y2="216" {EDGE}/>',
+        f'<line x1="24" y1="216" x2="24" y2="24" {EDGE} stroke-dasharray="6,5"/>',
+    ]),
+], ids=["conical-top-wedge", "zero-column-segment", "zero-point", "top-constant",
+        "top-column-rect", "top-wedge-split-axis"])
+def test_render_zero_and_top_thresholds(I, sigma, features):
+    # Pinned max-times output of the branches for zero and Top thresholds:
+    # the Top wedge with its split vertical axis, the Top constant part,
+    # and pieces that clip down to a segment or a point.
+    if 3 not in I:
+        assert _feature_lines(_plane_spec(I, sigma)) == features
+        return
+    assert _feature_lines(_plane_spec(I, sigma, True)) == features
+    # Negative control: the far side swaps the fills and the dashes.
+    flipped = _feature_lines(_plane_spec(I, sigma, False))
+    assert flipped != features
+
+    def plain(lines):
+        return [line.replace("#f6e8c9", "#7fb2e5").replace(' stroke-dasharray="6,5"', "")
+                for line in lines]
+
+    assert plain(flipped) == plain(features)

@@ -373,6 +373,8 @@ def test_every_2x2_boundary_matrix_is_decided_as_the_minor_walk(monkeypatch, mod
 
 
 def test_a_rejected_build_derives_the_laws_once(monkeypatch):
+    # The walk also derives the laws of two-row sub-specs, whose rows do
+    # not cover 1..n; the whole spec's laws are derived once.
     derived = []
     laws = hemispace.thin_structure
     monkeypatch.setattr(hemispace, "thin_structure",
@@ -383,8 +385,33 @@ def test_a_rejected_build_derives_the_laws_once(monkeypatch):
         derived.clear()
         with pytest.raises(RankOneError) as info:
             _build(raw)
-        assert len(derived) == 1
+        assert sum(len(s.I) + len(s.J) == s.n for s in derived) == 1
+        assert all(len(s.I) == 2 for s in derived[1:])
         assert info.value.violation == v == _rank_one_check_ordered(raw)
+
+
+def _late_violation(k):
+    """k rows over k columns, all closed: rows 1..k-2 zero, rows k-1 and k
+    all 1 except (k, 2k) = 2, so only the last row pair violates."""
+    I, J = range(1, k + 1), range(k + 1, 2 * k + 1)
+    sigma = {(i, j): bset("zero" if i < k - 1 else "2" if (i, j) == (k, 2 * k) else "1", True)
+             for i in I for j in J}
+    return HemispaceSpec.raw(MT, 2 * k, I, J, sigma)
+
+
+def test_the_walk_tests_minors_only_in_the_failing_row_pair(monkeypatch):
+    spec = _late_violation(12)
+    expected = _rank_one_check_ordered(spec)
+    assert (expected.i1, expected.i2, expected.j1, expected.j2) == (11, 12, 13, 24)
+    overlaps = []
+    monkeypatch.setattr(hemispace, "down_up_overlap",
+                        lambda d, u: overlaps.append(1) or down_up_overlap(d, u))
+    assert rank_one_check(spec) == expected
+    assert 0 < len(overlaps) <= 2 * 66  # 2 * C(12, 2); walking every minor takes 8,601
+    overlaps.clear()
+    with pytest.raises(RankOneError) as info:
+        _build(spec)
+    assert info.value.violation == expected and len(overlaps) <= 2 * 66
 
 
 def test_rank_one_check_that_trusts_every_spec_disagrees_with_the_walk(monkeypatch):
